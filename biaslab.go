@@ -187,13 +187,13 @@ func DefaultSetup(machineName string) Setup { return core.DefaultSetup(machineNa
 
 // EnvSweep measures the O3-over-O2 speedup at each environment size.
 func EnvSweep(ctx context.Context, r *Runner, b *BenchmarkProgram, setup Setup, sizes []uint64) ([]EnvPoint, error) {
-	return core.EnvSweep(ctx, r, b, setup, sizes)
+	return core.Sweep(ctx, r, b, core.EnvGrid(setup, sizes), nil)
 }
 
 // EnvSweepCheckpointed is EnvSweep with checkpoint/resume: completed
 // points are recorded in ck and replayed on a rerun.
 func EnvSweepCheckpointed(ctx context.Context, r *Runner, b *BenchmarkProgram, setup Setup, sizes []uint64, ck Checkpoint) ([]EnvPoint, error) {
-	return core.EnvSweepCheckpointed(ctx, r, b, setup, sizes, ck)
+	return core.Sweep(ctx, r, b, core.EnvGrid(setup, sizes), ck)
 }
 
 // DefaultEnvSizes returns the canonical 0–4 KiB environment sweep.
@@ -211,25 +211,29 @@ func PlanEnvSweep(r *Runner, b *BenchmarkProgram, setup Setup, sizes []uint64) (
 // verification fails — byte-identical to EnvSweep when predictions hold,
 // still correct when they don't.
 func EnvSweepAdaptive(ctx context.Context, r *Runner, b *BenchmarkProgram, setup Setup, sizes []uint64, ck Checkpoint) ([]EnvPoint, AdaptiveSweepStats, error) {
-	return core.EnvSweepAdaptive(ctx, r, b, setup, sizes, ck)
+	plan, err := core.PlanEnvSweep(r, b, setup, sizes)
+	if err != nil {
+		return nil, AdaptiveSweepStats{GridPoints: len(sizes)}, err
+	}
+	return core.SweepPlanned(ctx, r, b, core.EnvGrid(setup, sizes), plan, ck)
 }
 
 // LinkSweep measures the speedup under default, alphabetical, and n random
 // link orders.
 func LinkSweep(ctx context.Context, r *Runner, b *BenchmarkProgram, setup Setup, n int, seed uint64) ([]LinkPoint, error) {
-	return core.LinkSweep(ctx, r, b, setup, n, seed)
+	return LinkSweepCheckpointed(ctx, r, b, setup, n, seed, nil)
 }
 
 // LinkSweepCheckpointed is LinkSweep with checkpoint/resume.
 func LinkSweepCheckpointed(ctx context.Context, r *Runner, b *BenchmarkProgram, setup Setup, n int, seed uint64, ck Checkpoint) ([]LinkPoint, error) {
-	return core.LinkSweepCheckpointed(ctx, r, b, setup, n, seed, ck)
+	return core.Sweep(ctx, r, b, core.LinkGrid(setup, core.LinkCandidates(r.UnitNames(b), n, seed)), ck)
 }
 
 // TenantSweep measures b's O3-over-O2 speedup against every co-runner in
 // corunners (core.TenantIdle for an idle machine), sharing one machine's
 // cache/TLB/predictor hierarchy between subject and tenant.
 func TenantSweep(ctx context.Context, r *Runner, b *BenchmarkProgram, setup Setup, corunners []string) ([]TenantPoint, error) {
-	return core.TenantSweep(ctx, r, b, setup, corunners)
+	return core.Sweep(ctx, r, b, core.TenantGrid(setup, corunners), nil)
 }
 
 // DefaultCoRunners is the canonical co-runner panel the tenant sweep

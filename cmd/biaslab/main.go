@@ -189,9 +189,20 @@ var serviceCommands = func() map[string]bool {
 	return m
 }()
 
+// serverSupports lists the -server commands for usage errors, one sweep
+// per channel in the registry.
+func serverSupports() string {
+	cmds := []string{"run"}
+	for _, ch := range channels.All() {
+		cmds = append(cmds, ch.JobKind)
+	}
+	cmds = append(cmds, "randomize", "spec", "experiment", "all")
+	return strings.Join(cmds, ", ") + " and list"
+}
+
 func (a *app) dispatch(cmd string, cmdArgs []string) error {
 	if a.server != "" && !serviceCommands[cmd] {
-		return usageErrorf("%s runs locally only; -server supports run, sweep-env, sweep-pad, sweep-base, sweep-link, sweep-tenant, randomize, spec, experiment, all and list", cmd)
+		return usageErrorf("%s runs locally only; -server supports %s", cmd, serverSupports())
 	}
 	if a.jsonOut && cmd != "predict" && cmd != "audit" && (!serviceCommands[cmd] || cmd == "all") {
 		return usageErrorf("-json is not supported for %s", cmd)

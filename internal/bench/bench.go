@@ -78,6 +78,17 @@ func (b *Benchmark) Sources(size Size) []compiler.Source {
 	return b.sources(b.scales[size])
 }
 
+// UnitNames lists b's translation units at the given size, in default
+// link order.
+func (b *Benchmark) UnitNames(size Size) []string {
+	srcs := b.Sources(size)
+	names := make([]string, len(srcs))
+	for i, s := range srcs {
+		names[i] = s.Name
+	}
+	return names
+}
+
 // Scale exposes the raw scale parameter (for documentation output).
 func (b *Benchmark) Scale(size Size) int { return b.scales[size] }
 

@@ -84,102 +84,45 @@ type AdaptiveSweepStats struct {
 	PlanExact bool `json:"plan_exact"`
 }
 
-// EnvSweepAdaptive is EnvSweepCheckpointed guided by the bias oracle: it
-// measures only the predicted transition boundaries, a guard band before
-// each, and one interior spot check per plateau, then fills in plateau
-// interiors by interpolation. Every plateau is verified empirically — its
-// measured endpoints and spot check must agree exactly on both cycle counts
-// — and a plateau that fails verification is re-measured densely, so a
-// wrong oracle costs time, never correctness of the points it got to
-// verify. When the oracle's predictions hold, the returned points are
-// byte-identical to EnvSweep's over the same grid.
+// SweepPlanned measures g for b guided by an oracle plan over the same
+// grid: it measures the predicted transition boundaries, a guard band
+// before each, and one interior spot check per plateau, then fills in
+// plateau interiors by interpolation. Every plateau is verified
+// empirically — all held points, probes and replayed checkpoint points
+// alike, must agree exactly on both cycle counts — and a plateau that fails
+// verification is re-measured densely, so a wrong oracle costs time, never
+// correctness of the points it got to verify. When the oracle's predictions
+// hold, the returned points are byte-identical to Sweep's over the same
+// grid.
 //
-// Checkpoint keys are identical to the dense sweep's, so adaptive and dense
-// runs share a journal: a resumed run replays whichever points either mode
-// recorded.
-func EnvSweepAdaptive(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, sizes []uint64, ck Checkpoint) ([]EnvPoint, AdaptiveSweepStats, error) {
-	plan, err := PlanEnvSweep(r, b, setup, sizes)
-	if err != nil {
-		return nil, AdaptiveSweepStats{GridPoints: len(sizes)}, err
-	}
-	return envSweepPlanned(ctx, r, b, setup, sizes, plan, ck)
-}
-
-// envSweepPlanned is the measurement half of EnvSweepAdaptive, split out so
-// tests can force a deliberately wrong plan and assert the dense fallback
-// restores correctness.
-func envSweepPlanned(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, sizes []uint64, plan *analysis.EnvPlan, ck Checkpoint) ([]EnvPoint, AdaptiveSweepStats, error) {
-	return plannedSweep(ctx, r, b, "env", sizes, plan, ck, sweepOps[EnvPoint]{
-		setupAt: func(i int) Setup {
-			s := setup
-			s.EnvBytes = sizes[i]
-			return s
-		},
-		makePoint: func(i int, base, opt uint64) EnvPoint {
-			return EnvPoint{
-				EnvBytes:   sizes[i],
-				CyclesBase: base,
-				CyclesOpt:  opt,
-				Speedup:    float64(base) / float64(opt),
-			}
-		},
-		cycles: func(p EnvPoint) (uint64, uint64) { return p.CyclesBase, p.CyclesOpt },
-		revalue: func(p EnvPoint, i int) EnvPoint {
-			p.EnvBytes = sizes[i]
-			return p
-		},
-	})
-}
-
-// sweepOps adapts one sweep's point type to the generic planned-sweep
-// engine: how a grid index becomes a Setup, how a measurement becomes a
-// point, how to read a point's cycle pair, and how to re-label a plateau
-// representative for an interpolated index.
-type sweepOps[T any] struct {
-	setupAt   func(i int) Setup
-	makePoint func(i int, base, opt uint64) T
-	cycles    func(p T) (uint64, uint64)
-	revalue   func(p T, i int) T
-}
-
-// plannedSweep is the oracle-guided measurement engine shared by the env,
-// pad, and base adaptive sweeps: measure the predicted transition boundaries,
-// a guard band before each, and one interior spot check per plateau; verify
-// every plateau empirically (all held points must agree exactly on both
-// cycle counts); interpolate verified plateau interiors and densely
-// re-measure failed ones. kind is the checkpoint namespace; the journal keys
-// match the corresponding dense sweep's exactly.
-func plannedSweep[T any](ctx context.Context, r *Runner, b *bench.Benchmark, kind string, grid []uint64, plan *analysis.EnvPlan, ck Checkpoint, ops sweepOps[T]) ([]T, AdaptiveSweepStats, error) {
-	n := len(grid)
+// Checkpoint keys are identical to Sweep's, so adaptive and dense runs
+// share a journal: a resumed run replays whichever points either mode
+// recorded. The partial-result contract is Sweep's.
+func SweepPlanned[P SweepPoint](ctx context.Context, r *Runner, b *bench.Benchmark, g Grid[P], plan *analysis.EnvPlan, ck Checkpoint) ([]P, AdaptiveSweepStats, error) {
+	n := len(g.Setups)
 	stats := AdaptiveSweepStats{
 		GridPoints: n,
 		Boundaries: len(plan.Boundaries),
 		PlanExact:  plan.Exact,
 	}
 	if len(plan.Sizes) != n {
-		return nil, stats, fmt.Errorf("core: %s plan grid has %d sizes, sweep grid %d", kind, len(plan.Sizes), n)
-	}
-	for i, sz := range plan.Sizes {
-		if sz != grid[i] {
-			return nil, stats, fmt.Errorf("core: %s plan grid differs from sweep grid at index %d (%d vs %d)", kind, i, sz, grid[i])
-		}
+		return nil, stats, fmt.Errorf("core: %s plan grid has %d sizes, sweep grid %d", g.Kind, len(plan.Sizes), n)
 	}
 	prev := 0
 	for _, bi := range plan.Boundaries {
 		if bi <= prev || bi >= n {
-			return nil, stats, fmt.Errorf("core: %s plan boundaries %v not strictly increasing within (0,%d)", kind, plan.Boundaries, n)
+			return nil, stats, fmt.Errorf("core: %s plan boundaries %v not strictly increasing within (0,%d)", g.Kind, plan.Boundaries, n)
 		}
 		prev = bi
 	}
 
-	points := make([]T, n)
+	points := make([]P, n)
 	done := make([]bool, n)
 	for i := 0; i < n; i++ {
 		if ck == nil {
 			break
 		}
-		var p T
-		ok, err := ck.Lookup(sweepKey(kind, b.Name, ops.setupAt(i)), &p)
+		p, ok, err := g.replay(ck, b.Name, i)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -203,7 +146,7 @@ func plannedSweep[T any](ctx context.Context, r *Runner, b *bench.Benchmark, kin
 			chunk := idxs[start:end]
 			setups := make([]Setup, 0, 2*len(chunk))
 			for _, i := range chunk {
-				s := ops.setupAt(i)
+				s := g.Setups[i]
 				setups = append(setups, s.WithLevel(compiler.O2), s.WithLevel(compiler.O3))
 			}
 			ms, err := r.MeasureBatch(ctx, b, setups)
@@ -212,9 +155,9 @@ func plannedSweep[T any](ctx context.Context, r *Runner, b *bench.Benchmark, kin
 			}
 			for k, i := range chunk {
 				mb, mo := ms[2*k], ms[2*k+1]
-				p := ops.makePoint(i, mb.Cycles, mo.Cycles)
+				p := g.Point(i, mb.Cycles, mo.Cycles)
 				if ck != nil {
-					if err := ck.Record(sweepKey(kind, b.Name, ops.setupAt(i)), p); err != nil {
+					if err := ck.Record(g.Key(b.Name, i), p); err != nil {
 						return err
 					}
 				}
@@ -224,10 +167,9 @@ func plannedSweep[T any](ctx context.Context, r *Runner, b *bench.Benchmark, kin
 		}
 		return nil
 	}
-	fail := func(err error) ([]T, AdaptiveSweepStats, error) {
-		completed := gatherDone(points, done)
-		return completed, stats, fmt.Errorf("core: %s sweep of %s incomplete (%d of %d points measured): %w",
-			kind, b.Name, len(completed), n, err)
+	fail := func(err error) ([]P, AdaptiveSweepStats, error) {
+		completed, err := g.incomplete(b.Name, points, done, err)
+		return completed, stats, err
 	}
 
 	// Plateaus: [start of grid or a boundary, next boundary). Within each,
@@ -267,9 +209,9 @@ func plannedSweep[T any](ctx context.Context, r *Runner, b *bench.Benchmark, kin
 	for k := range starts {
 		lo, hi := plateau(k)
 		agree := true
-		repBase, repOpt := ops.cycles(points[lo])
+		repBase, repOpt := points[lo].Cycles()
 		for i := lo; i <= hi; i++ {
-			cb, co := ops.cycles(points[i])
+			cb, co := points[i].Cycles()
 			if done[i] && (cb != repBase || co != repOpt) {
 				agree = false
 				break
@@ -292,9 +234,9 @@ func plannedSweep[T any](ctx context.Context, r *Runner, b *bench.Benchmark, kin
 			if done[i] {
 				continue
 			}
-			p := ops.revalue(points[lo], i)
+			p := g.Point(i, repBase, repOpt)
 			if ck != nil {
-				if err := ck.Record(sweepKey(kind, b.Name, ops.setupAt(i)), p); err != nil {
+				if err := ck.Record(g.Key(b.Name, i), p); err != nil {
 					return fail(err)
 				}
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"biaslab/internal/analysis"
@@ -17,7 +16,7 @@ import (
 // the env oracle — which predicts from one binary because only the stack
 // moves — a code channel needs every layout in hand: the proofs are
 // relations between pairs of binaries, not properties of one.
-func planChannelSweep(r *Runner, b *bench.Benchmark, spec channelSpec, setup Setup, values []uint64) (*analysis.EnvPlan, error) {
+func planChannelSweep(r *Runner, b *bench.Benchmark, g Grid[ChannelPoint], setup Setup, values []uint64) (*analysis.EnvPlan, error) {
 	mcfg, err := r.machineConfig(setup.Machine)
 	if err != nil {
 		return nil, err
@@ -34,8 +33,8 @@ func planChannelSweep(r *Runner, b *bench.Benchmark, spec channelSpec, setup Set
 	maps := make([]*analysis.ChannelConflictMap, 0, 2)
 	for _, lvl := range []compiler.Level{compiler.O2, compiler.O3} {
 		layouts := make([]*analysis.ChannelLayout, 0, len(values))
-		for _, v := range values {
-			s := spec.apply(setup, v).WithLevel(lvl)
+		for i, v := range values {
+			s := g.Setups[i].WithLevel(lvl)
 			exe, err := r.Executable(b, s)
 			if err != nil {
 				return nil, err
@@ -46,11 +45,11 @@ func planChannelSweep(r *Runner, b *bench.Benchmark, spec channelSpec, setup Set
 			}
 			cl, err := analysis.NewChannelLayout(v, exe, prog)
 			if err != nil {
-				return nil, fmt.Errorf("core: planning %s sweep of %s: %w", spec.kind, b.Name, err)
+				return nil, fmt.Errorf("core: planning %s sweep of %s: %w", g.Kind, b.Name, err)
 			}
 			layouts = append(layouts, cl)
 		}
-		maps = append(maps, analysis.BuildChannelConflictMap(b.Name, setup.Machine, spec.kind, mcfg, sp, layouts))
+		maps = append(maps, analysis.BuildChannelConflictMap(b.Name, setup.Machine, g.Kind, mcfg, sp, layouts))
 	}
 	return analysis.NewChannelPlan(b.Name, setup.Machine, values, maps...)
 }
@@ -59,57 +58,11 @@ func planChannelSweep(r *Runner, b *bench.Benchmark, spec channelSpec, setup Set
 // under setup can transition. The plan is the same struct `biaslab predict
 // -channel pad -json` emits.
 func PlanPadSweep(r *Runner, b *bench.Benchmark, setup Setup, values []uint64) (*analysis.EnvPlan, error) {
-	return planChannelSweep(r, b, padChannel, setup, values)
+	return planChannelSweep(r, b, PadGrid(setup, values), setup, values)
 }
 
 // PlanBaseSweep asks the channel comparator where an image-base sweep of b
 // under setup can transition.
 func PlanBaseSweep(r *Runner, b *bench.Benchmark, setup Setup, values []uint64) (*analysis.EnvPlan, error) {
-	return planChannelSweep(r, b, baseChannel, setup, values)
-}
-
-// channelSweepAdaptive is the shared body of PadSweepAdaptive and
-// BaseSweepAdaptive: plan, then run the generic planned-sweep engine. The
-// verification contract is the same as EnvSweepAdaptive's — every plateau is
-// checked empirically, so an UNKNOWN-heavy plan costs measurements, never
-// correctness.
-func channelSweepAdaptive(ctx context.Context, r *Runner, b *bench.Benchmark, spec channelSpec, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, AdaptiveSweepStats, error) {
-	plan, err := planChannelSweep(r, b, spec, setup, values)
-	if err != nil {
-		return nil, AdaptiveSweepStats{GridPoints: len(values)}, err
-	}
-	return channelSweepPlanned(ctx, r, b, spec, setup, values, plan, ck)
-}
-
-// channelSweepPlanned is the measurement half, split out so tests can force
-// a deliberately wrong plan and assert the dense fallback restores
-// correctness.
-func channelSweepPlanned(ctx context.Context, r *Runner, b *bench.Benchmark, spec channelSpec, setup Setup, values []uint64, plan *analysis.EnvPlan, ck Checkpoint) ([]ChannelPoint, AdaptiveSweepStats, error) {
-	return plannedSweep(ctx, r, b, spec.kind, values, plan, ck, sweepOps[ChannelPoint]{
-		setupAt: func(i int) Setup { return spec.apply(setup, values[i]) },
-		makePoint: func(i int, base, opt uint64) ChannelPoint {
-			return ChannelPoint{
-				Value:      values[i],
-				CyclesBase: base,
-				CyclesOpt:  opt,
-				Speedup:    float64(base) / float64(opt),
-			}
-		},
-		cycles: func(p ChannelPoint) (uint64, uint64) { return p.CyclesBase, p.CyclesOpt },
-		revalue: func(p ChannelPoint, i int) ChannelPoint {
-			p.Value = values[i]
-			return p
-		},
-	})
-}
-
-// PadSweepAdaptive is PadSweepCheckpointed guided by the channel comparator.
-func PadSweepAdaptive(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, AdaptiveSweepStats, error) {
-	return channelSweepAdaptive(ctx, r, b, padChannel, setup, values, ck)
-}
-
-// BaseSweepAdaptive is BaseSweepCheckpointed guided by the channel
-// comparator.
-func BaseSweepAdaptive(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, AdaptiveSweepStats, error) {
-	return channelSweepAdaptive(ctx, r, b, baseChannel, setup, values, ck)
+	return planChannelSweep(r, b, BaseGrid(setup, values), setup, values)
 }

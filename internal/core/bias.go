@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"biaslab/internal/bench"
+	"biaslab/internal/channels"
 	"biaslab/internal/compiler"
 	"biaslab/internal/stats"
 )
@@ -18,115 +19,17 @@ type EnvPoint struct {
 	Speedup    float64
 }
 
-// EnvSweep measures b's O3-over-O2 speedup at every environment size in
-// sizes, holding everything else in setup fixed. This regenerates the
-// paper's Figures 1–2 for a single benchmark and, aggregated across the
-// suite, Figures 3–5.
-func EnvSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, sizes []uint64) ([]EnvPoint, error) {
-	return EnvSweepCheckpointed(ctx, r, b, setup, sizes, nil)
-}
+// Cycles returns the point's measured O2/O3 cycle pair.
+func (p EnvPoint) Cycles() (base, opt uint64) { return p.CyclesBase, p.CyclesOpt }
 
-// sweepKey is the checkpoint key of one sweep point: the sweep kind, the
-// benchmark, and the *complete* rendered setup, so that points recorded
-// under any different setup (machine, compiler, order, padding, shift) can
-// never be replayed for this one.
-func sweepKey(kind string, benchName string, s Setup) string {
-	return kind + "/" + benchName + "/" + s.String()
-}
-
-// PointKey returns the checkpoint-journal key of one sweep point — the
-// same key the checkpointed sweeps record under. Kinds in use: "env"
-// (environment-size sweeps), "link" (link-order sweeps), and "rand"
-// (randomized-setup estimates). Exported so a cluster worker measuring a
-// shard of a sweep produces records in exactly the single-node journal
-// namespace; the byte-identical merge contract depends on it.
-func PointKey(kind, benchName string, s Setup) string {
-	return sweepKey(kind, benchName, s)
-}
-
-// MeasureEnvPoint measures one environment-size sweep point: b's
-// O3-over-O2 speedup with setup's environment forced to size bytes. It is
-// the unit of work EnvSweepCheckpointed runs per point, exported as the
-// shard-execution primitive for distributed sweeps.
-func MeasureEnvPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, size uint64) (EnvPoint, error) {
-	s := setup
-	s.EnvBytes = size
-	speedup, mb, mo, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return EnvPoint{}, err
-	}
-	return EnvPoint{
-		EnvBytes:   size,
-		CyclesBase: mb.Cycles,
-		CyclesOpt:  mo.Cycles,
-		Speedup:    speedup,
-	}, nil
-}
-
-// EnvSweepCheckpointed is EnvSweep with journal-based checkpoint/resume:
-// every completed point is recorded in ck before the sweep moves on, and
-// points already recorded (a resumed run) are replayed without
-// re-measurement — bit-identical, because measurements are deterministic.
-//
-// On failure it returns the completed points (in sweep order, with the
-// failed and unreached points explicitly absent) alongside an error that
-// says how much is missing. Callers must treat such partial results as
-// partial: they are never silently aggregated by any code in this package.
-func EnvSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, sizes []uint64, ck Checkpoint) ([]EnvPoint, error) {
-	points := make([]EnvPoint, len(sizes))
-	done := make([]bool, len(sizes))
-	pending := make([]int, 0, len(sizes))
-	for i, sz := range sizes {
-		s := setup
-		s.EnvBytes = sz
-		if ck != nil {
-			var p EnvPoint
-			ok, err := ck.Lookup(sweepKey("env", b.Name, s), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				points[i], done[i] = p, true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureEnvPoint(ctx, r, b, setup, sizes[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			s := setup
-			s.EnvBytes = sizes[i]
-			if err := ck.Record(sweepKey("env", b.Name, s), p); err != nil {
-				return err
-			}
-		}
-		points[i], done[i] = p, true
-		return nil
-	})
-	if err != nil {
-		completed := gatherDone(points, done)
-		return completed, fmt.Errorf("core: env sweep of %s incomplete (%d of %d points measured): %w",
-			b.Name, len(completed), len(sizes), err)
-	}
-	return points, nil
-}
-
-// gatherDone compacts the completed points of an interrupted sweep,
-// preserving sweep order. The gaps are *explicit*: the result's length
-// tells the caller exactly how much is missing.
-func gatherDone[T any](points []T, done []bool) []T {
-	out := make([]T, 0, len(points))
-	for i, ok := range done {
-		if ok {
-			out = append(out, points[i])
-		}
-	}
-	return out
+// EnvGrid is the environment-size channel: setup with its environment
+// forced to each of sizes. Sweeping it regenerates the paper's Figures 1–2
+// for a single benchmark and, aggregated across the suite, Figures 3–5.
+func EnvGrid(setup Setup, sizes []uint64) Grid[EnvPoint] {
+	setups := applyEach(setup, sizes, func(s *Setup, sz uint64) { s.EnvBytes = sz })
+	return Grid[EnvPoint]{Kind: "env", Setups: setups, Point: func(i int, base, opt uint64) EnvPoint {
+		return EnvPoint{EnvBytes: sizes[i], CyclesBase: base, CyclesOpt: opt, Speedup: speedup(base, opt)}
+	}}
 }
 
 // DefaultEnvSizes returns the canonical environment-size sweep: from the
@@ -155,11 +58,8 @@ type LinkPoint struct {
 	Speedup    float64
 }
 
-// LinkSweep measures b's speedup under the default order, the alphabetical
-// order, and n random permutations — the paper's link-order experiment.
-func LinkSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, n int, seed uint64) ([]LinkPoint, error) {
-	return LinkSweepCheckpointed(ctx, r, b, setup, n, seed, nil)
-}
+// Cycles returns the point's measured O2/O3 cycle pair.
+func (p LinkPoint) Cycles() (base, opt uint64) { return p.CyclesBase, p.CyclesOpt }
 
 // LinkCandidate is one labelled link order of a link sweep: the default
 // order, the alphabetical order, or a seeded random permutation.
@@ -185,77 +85,14 @@ func LinkCandidates(names []string, n int, seed uint64) []LinkCandidate {
 	return cands
 }
 
-// MeasureLinkPoint measures one link-order sweep point: b's O3-over-O2
-// speedup under candidate c's link order. The shard-execution primitive
-// for distributed link sweeps, and the unit of work behind
-// LinkSweepCheckpointed.
-func MeasureLinkPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, c LinkCandidate) (LinkPoint, error) {
-	s := setup
-	s.LinkOrder = c.Order
-	speedup, mb, mo, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return LinkPoint{}, err
-	}
-	return LinkPoint{
-		Label:      c.Label,
-		Order:      c.Order,
-		CyclesBase: mb.Cycles,
-		CyclesOpt:  mo.Cycles,
-		Speedup:    speedup,
-	}, nil
-}
-
-// LinkSweepCheckpointed is LinkSweep with checkpoint/resume; see
-// EnvSweepCheckpointed for the journal and partial-result contract. The
-// permutation set depends only on (n, seed), so a resumed run regenerates
-// the same candidates and replays the recorded ones.
-func LinkSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, n int, seed uint64, ck Checkpoint) ([]LinkPoint, error) {
-	cands := LinkCandidates(r.UnitNames(b), n, seed)
-	points := make([]LinkPoint, len(cands))
-	done := make([]bool, len(cands))
-	pending := make([]int, 0, len(cands))
-	for i, c := range cands {
-		s := setup
-		s.LinkOrder = c.Order
-		if ck != nil {
-			var p LinkPoint
-			ok, err := ck.Lookup(sweepKey("link", b.Name, s), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				// The stored point carries cycles and speedup; the label and
-				// order are regenerated, so keep the fresh ones (identical by
-				// construction) to avoid aliasing journal-owned slices.
-				p.Label, p.Order = c.Label, c.Order
-				points[i], done[i] = p, true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureLinkPoint(ctx, r, b, setup, cands[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			s := setup
-			s.LinkOrder = cands[i].Order
-			if err := ck.Record(sweepKey("link", b.Name, s), p); err != nil {
-				return err
-			}
-		}
-		points[i], done[i] = p, true
-		return nil
-	})
-	if err != nil {
-		completed := gatherDone(points, done)
-		return completed, fmt.Errorf("core: link sweep of %s incomplete (%d of %d points measured): %w",
-			b.Name, len(completed), len(cands), err)
-	}
-	return points, nil
+// LinkGrid is the link-order channel: setup linked in each candidate's
+// order — the paper's link-order experiment when cands comes from
+// LinkCandidates.
+func LinkGrid(setup Setup, cands []LinkCandidate) Grid[LinkPoint] {
+	setups := applyEach(setup, cands, func(s *Setup, c LinkCandidate) { s.LinkOrder = c.Order })
+	return Grid[LinkPoint]{Kind: "link", Setups: setups, Point: func(i int, base, opt uint64) LinkPoint {
+		return LinkPoint{Label: cands[i].Label, Order: cands[i].Order, CyclesBase: base, CyclesOpt: opt, Speedup: speedup(base, opt)}
+	}}
 }
 
 // BiasReport summarizes how a benchmark's measured speedup moves as one
@@ -264,8 +101,11 @@ func LinkSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, s
 type BiasReport struct {
 	Benchmark string
 	Machine   string
-	Factor    string // "environment size" or "link order"
-	Speedups  stats.Summary
+	// Factor is the perturbed factor's phrase from the channel registry
+	// (channels.Channel.Factor): "environment size", "link order", "text
+	// padding", "image base" or "co-runner".
+	Factor   string
+	Speedups stats.Summary
 	// FlipsSign is true when the sweep contains speedups on both sides of
 	// 1.0: the same experiment supports opposite conclusions.
 	FlipsSign bool
@@ -312,44 +152,34 @@ func (rep BiasReport) String() string {
 // the data behind Figures 3–5. A non-nil ck checkpoints every completed
 // point, so an interrupted study resumes mid-benchmark.
 func SuiteEnvStudy(ctx context.Context, r *Runner, machineName string, sizes []uint64, pers compiler.Personality, ck Checkpoint) ([]BiasReport, map[string][]float64, error) {
-	reports := []BiasReport{}
-	raw := map[string][]float64{}
-	for _, b := range bench.All() {
-		setup := DefaultSetup(machineName)
-		setup.Compiler.Personality = pers
-		points, err := EnvSweepCheckpointed(ctx, r, b, setup, sizes, ck)
-		if err != nil {
-			return nil, nil, err
-		}
-		speedups := make([]float64, len(points))
-		for i, p := range points {
-			speedups[i] = p.Speedup
-		}
-		raw[b.Name] = speedups
-		reports = append(reports, NewBiasReport(b.Name, machineName, "environment size", speedups))
-	}
-	return reports, raw, nil
+	return suiteStudy(ctx, r, machineName, pers, "env", ck, func(_ *bench.Benchmark, setup Setup) Grid[EnvPoint] {
+		return EnvGrid(setup, sizes)
+	})
 }
 
 // SuiteLinkStudy runs the link-order sweep for every benchmark on one
 // machine — the data behind Figures 6–7. A non-nil ck checkpoints every
 // completed point.
 func SuiteLinkStudy(ctx context.Context, r *Runner, machineName string, nOrders int, seed uint64, pers compiler.Personality, ck Checkpoint) ([]BiasReport, map[string][]float64, error) {
+	return suiteStudy(ctx, r, machineName, pers, "link", ck, func(b *bench.Benchmark, setup Setup) Grid[LinkPoint] {
+		return LinkGrid(setup, LinkCandidates(r.UnitNames(b), nOrders, seed))
+	})
+}
+
+// suiteStudy sweeps one channel's grid for every benchmark on one machine.
+func suiteStudy[P SweepPoint](ctx context.Context, r *Runner, machineName string, pers compiler.Personality, channel string, ck Checkpoint, grid func(*bench.Benchmark, Setup) Grid[P]) ([]BiasReport, map[string][]float64, error) {
+	ch, _ := channels.ByName(channel)
 	reports := []BiasReport{}
 	raw := map[string][]float64{}
 	for _, b := range bench.All() {
 		setup := DefaultSetup(machineName)
 		setup.Compiler.Personality = pers
-		points, err := LinkSweepCheckpointed(ctx, r, b, setup, nOrders, seed, ck)
+		points, err := Sweep(ctx, r, b, grid(b, setup), ck)
 		if err != nil {
 			return nil, nil, err
 		}
-		speedups := make([]float64, len(points))
-		for i, p := range points {
-			speedups[i] = p.Speedup
-		}
-		raw[b.Name] = speedups
-		reports = append(reports, NewBiasReport(b.Name, machineName, "link order", speedups))
+		raw[b.Name] = Speedups(points)
+		reports = append(reports, NewBiasReport(b.Name, machineName, ch.Factor, raw[b.Name]))
 	}
 	return reports, raw, nil
 }

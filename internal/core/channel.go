@@ -1,20 +1,15 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
-	"biaslab/internal/bench"
-	"biaslab/internal/compiler"
 	"biaslab/internal/linker"
 )
 
 // Scalar layout channels beyond the environment: inter-object text padding
 // ("pad") and ASLR-style image-base displacement ("base"). Both perturb only
 // where the code lands, exactly like the env channel perturbs only where the
-// stack lands, so they get the same sweep machinery: a grid of values, one
-// O3-over-O2 speedup per point, checkpoint/resume, and (in adaptive.go) a
-// dataflow-backed plan that proves plateaus instead of measuring them.
+// stack lands, so they are ordinary grids: one O3-over-O2 speedup per grid
+// value, checkpoint/resume, and (in adaptive_channel.go) a dataflow-backed
+// plan that proves plateaus instead of measuring them.
 
 // ChannelPoint is one point of a scalar channel sweep.
 type ChannelPoint struct {
@@ -24,113 +19,26 @@ type ChannelPoint struct {
 	Speedup    float64
 }
 
-// channelSpec defines one scalar channel: its checkpoint kind and how a grid
-// value lands in a Setup.
-type channelSpec struct {
-	kind  string
-	apply func(Setup, uint64) Setup
+// Cycles returns the point's measured O2/O3 cycle pair.
+func (p ChannelPoint) Cycles() (base, opt uint64) { return p.CyclesBase, p.CyclesOpt }
+
+// PadGrid is the text-padding channel: setup with its inter-object padding
+// forced to each of values bytes.
+func PadGrid(setup Setup, values []uint64) Grid[ChannelPoint] {
+	return scalarGrid("pad", setup, values, func(s *Setup, v uint64) { s.TextPad = v })
 }
 
-var padChannel = channelSpec{
-	kind:  "pad",
-	apply: func(s Setup, v uint64) Setup { s.TextPad = v; return s },
+// BaseGrid is the image-base channel: setup linked at each of values as its
+// base address. Zero means the linker default base.
+func BaseGrid(setup Setup, values []uint64) Grid[ChannelPoint] {
+	return scalarGrid("base", setup, values, func(s *Setup, v uint64) { s.TextBase = v })
 }
 
-var baseChannel = channelSpec{
-	kind:  "base",
-	apply: func(s Setup, v uint64) Setup { s.TextBase = v; return s },
-}
-
-// measureChannelPoint measures one scalar-channel sweep point.
-func measureChannelPoint(ctx context.Context, r *Runner, b *bench.Benchmark, spec channelSpec, setup Setup, value uint64) (ChannelPoint, error) {
-	s := spec.apply(setup, value)
-	speedup, mb, mo, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return ChannelPoint{}, err
-	}
-	return ChannelPoint{
-		Value:      value,
-		CyclesBase: mb.Cycles,
-		CyclesOpt:  mo.Cycles,
-		Speedup:    speedup,
-	}, nil
-}
-
-// MeasurePadPoint measures one text-padding sweep point: b's O3-over-O2
-// speedup with setup's inter-object padding forced to value bytes. The
-// shard-execution primitive for distributed pad sweeps.
-func MeasurePadPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, value uint64) (ChannelPoint, error) {
-	return measureChannelPoint(ctx, r, b, padChannel, setup, value)
-}
-
-// MeasureBasePoint measures one image-base sweep point: b's O3-over-O2
-// speedup with the image linked at the given base address. Zero means the
-// linker default base.
-func MeasureBasePoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, value uint64) (ChannelPoint, error) {
-	return measureChannelPoint(ctx, r, b, baseChannel, setup, value)
-}
-
-// channelSweepCheckpointed is the shared body of PadSweepCheckpointed and
-// BaseSweepCheckpointed; see EnvSweepCheckpointed for the journal and
-// partial-result contract.
-func channelSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, spec channelSpec, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, error) {
-	points := make([]ChannelPoint, len(values))
-	done := make([]bool, len(values))
-	pending := make([]int, 0, len(values))
-	for i, v := range values {
-		if ck != nil {
-			var p ChannelPoint
-			ok, err := ck.Lookup(sweepKey(spec.kind, b.Name, spec.apply(setup, v)), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				points[i], done[i] = p, true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := measureChannelPoint(ctx, r, b, spec, setup, values[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.Record(sweepKey(spec.kind, b.Name, spec.apply(setup, values[i])), p); err != nil {
-				return err
-			}
-		}
-		points[i], done[i] = p, true
-		return nil
-	})
-	if err != nil {
-		completed := gatherDone(points, done)
-		return completed, fmt.Errorf("core: %s sweep of %s incomplete (%d of %d points measured): %w",
-			spec.kind, b.Name, len(completed), len(values), err)
-	}
-	return points, nil
-}
-
-// PadSweep measures b's speedup at every inter-object padding in values.
-func PadSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64) ([]ChannelPoint, error) {
-	return PadSweepCheckpointed(ctx, r, b, setup, values, nil)
-}
-
-// PadSweepCheckpointed is PadSweep with journal-based checkpoint/resume.
-func PadSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, error) {
-	return channelSweepCheckpointed(ctx, r, b, padChannel, setup, values, ck)
-}
-
-// BaseSweep measures b's speedup at every image base in values.
-func BaseSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64) ([]ChannelPoint, error) {
-	return BaseSweepCheckpointed(ctx, r, b, setup, values, nil)
-}
-
-// BaseSweepCheckpointed is BaseSweep with journal-based checkpoint/resume.
-func BaseSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, error) {
-	return channelSweepCheckpointed(ctx, r, b, baseChannel, setup, values, ck)
+// scalarGrid is a scalar code-layout channel: one setup per value.
+func scalarGrid(kind string, setup Setup, values []uint64, set func(*Setup, uint64)) Grid[ChannelPoint] {
+	return Grid[ChannelPoint]{Kind: kind, Setups: applyEach(setup, values, set), Point: func(i int, base, opt uint64) ChannelPoint {
+		return ChannelPoint{Value: values[i], CyclesBase: base, CyclesOpt: opt, Speedup: speedup(base, opt)}
+	}}
 }
 
 // DefaultPadSizes returns the canonical padding sweep grid: instruction-

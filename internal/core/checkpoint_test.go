@@ -104,13 +104,16 @@ func TestLinkSweepCheckpointReplay(t *testing.T) {
 	b, _ := bench.ByName("libquantum")
 	setup := DefaultSetup("core2")
 	ck := newMemCheckpoint()
+	linkSweep := func(r *Runner) ([]LinkPoint, error) {
+		return Sweep(context.Background(), r, b, LinkGrid(setup, LinkCandidates(r.UnitNames(b), 2, 7)), ck)
+	}
 
-	first, err := LinkSweepCheckpointed(context.Background(), NewRunner(bench.SizeTest), b, setup, 2, 7, ck)
+	first, err := linkSweep(NewRunner(bench.SizeTest))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := ck.recorded()
-	second, err := LinkSweepCheckpointed(context.Background(), NewRunner(bench.SizeTest), b, setup, 2, 7, ck)
+	second, err := linkSweep(NewRunner(bench.SizeTest))
 	if err != nil {
 		t.Fatal(err)
 	}

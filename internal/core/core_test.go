@@ -201,7 +201,7 @@ func TestDefaultEnvSizes(t *testing.T) {
 func TestLinkSweep(t *testing.T) {
 	r := NewRunner(bench.SizeTest)
 	b := testBench(t, "gcc")
-	points, err := LinkSweep(context.Background(), r, b, DefaultSetup("m5"), 3, 77)
+	points, err := Sweep(context.Background(), r, b, LinkGrid(DefaultSetup("m5"), LinkCandidates(r.UnitNames(b), 3, 77)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,67 +134,46 @@ type RandomPoint struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// MeasureRandomPoint measures b's O3-over-O2 speedup at one randomized
-// setup — the unit of work behind EstimateSpeedup, exported as the
-// shard-execution primitive for distributed randomize jobs. Its checkpoint
-// key is PointKey("rand", b.Name, s).
-func MeasureRandomPoint(ctx context.Context, r *Runner, b *bench.Benchmark, s Setup) (RandomPoint, error) {
-	sp, _, _, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return RandomPoint{}, err
-	}
-	return RandomPoint{Speedup: sp}, nil
+// RandomGrid is the grid of a randomized-setup estimate over the drawn
+// setups: one speedup per setup, journalled in the "rand" namespace. Two
+// drawn setups that happen to coincide share a key, and a resumed run
+// replays one record for both — exactly what re-measuring would produce.
+func RandomGrid(setups []Setup) Grid[RandomPoint] {
+	return Grid[RandomPoint]{Kind: "rand", Setups: setups, Point: func(_ int, base, opt uint64) RandomPoint {
+		return RandomPoint{Speedup: speedup(base, opt)}
+	}}
 }
 
-// EstimateSpeedup runs benchmark b under n randomized setups and returns
-// the robust estimate of the O3-over-O2 speedup.
-func EstimateSpeedup(ctx context.Context, r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64) (*RobustEstimate, error) {
-	return EstimateSpeedupCheckpointed(ctx, r, b, base, n, seed, nil)
-}
-
-// EstimateSpeedupCheckpointed is EstimateSpeedup with journal-based
-// checkpoint/resume: each setup's speedup is recorded under
-// PointKey("rand", b.Name, setup) as it completes, and recorded points are
-// replayed instead of re-measured, so an interrupted randomize run resumes
-// where it stopped with bit-identical output. Two drawn setups that happen
-// to coincide share a key; the second replays the first's value, which is
-// exactly what re-measuring would produce.
-func EstimateSpeedupCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64, ck Checkpoint) (*RobustEstimate, error) {
-	setups := RandomSetups(base, n, len(r.UnitNames(b)), seed)
-	speedups := make([]float64, n)
-	pending := make([]int, 0, n)
-	for i, s := range setups {
-		if ck != nil {
-			var p RandomPoint
-			ok, err := ck.Lookup(sweepKey("rand", b.Name, s), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				speedups[i] = p.Speedup
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureRandomPoint(ctx, r, b, setups[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.Record(sweepKey("rand", b.Name, setups[i]), p); err != nil {
-				return err
-			}
-		}
+// RandomEstimate assembles the robust estimate from a randomize grid's
+// measured points. byTenant is for setups drawn by RandomSetupsTenant: the
+// hierarchical interval then groups setups by co-runner identity — the
+// co-runner is the random effect, so between-tenant variance, the channel
+// itself, is what widens the interval. This is the Kalibera & Jones
+// discipline applied to interference: a co-runner is a nuisance factor
+// like environment size, so a "serving" conclusion must randomize over
+// tenants, not fix one.
+func RandomEstimate(benchName, machineName string, setups []Setup, points []RandomPoint, seed uint64, byTenant bool) *RobustEstimate {
+	speedups := make([]float64, len(points))
+	for i, p := range points {
 		speedups[i] = p.Speedup
-		return nil
-	})
+	}
+	est := newRobustEstimate(benchName, machineName, speedups, seed)
+	if byTenant {
+		est.HierCI = tenantHierCI(benchName, machineName, setups, speedups, seed)
+	}
+	return est
+}
+
+// EstimateSpeedup runs benchmark b under n randomized setups (RandomSetups
+// drawn from seed) and returns the robust estimate of the O3-over-O2
+// speedup.
+func EstimateSpeedup(ctx context.Context, r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64) (*RobustEstimate, error) {
+	setups := RandomSetups(base, n, len(r.UnitNames(b)), seed)
+	points, err := Sweep(ctx, r, b, RandomGrid(setups), nil)
 	if err != nil {
 		return nil, err
 	}
-	return newRobustEstimate(b.Name, base.Machine, speedups, seed), nil
+	return RandomEstimate(b.Name, base.Machine, setups, points, seed, false), nil
 }
 
 // SingleSetupVerdicts contrasts the randomized estimate with what a

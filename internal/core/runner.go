@@ -241,12 +241,7 @@ func (r *Runner) releaseMachine(name string, m *machine.Machine) {
 
 // UnitNames returns the names of b's translation units in default order.
 func (r *Runner) UnitNames(b *bench.Benchmark) []string {
-	srcs := b.Sources(r.Size)
-	names := make([]string, len(srcs))
-	for i, s := range srcs {
-		names[i] = s.Name
-	}
-	return names
+	return b.UnitNames(r.Size)
 }
 
 // Executable compiles and links b exactly as Measure would under setup —

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"biaslab/internal/bench"
-	"biaslab/internal/compiler"
 	"biaslab/internal/stats"
 )
 
@@ -49,83 +46,28 @@ func withCoRunner(setup Setup, co string) Setup {
 	return setup
 }
 
-// MeasureTenantPoint measures one co-runner sweep point: b's O3-over-O2
-// speedup with the named benchmark (or TenantIdle) sharing the machine.
-// The co-runner is part of the setup, not the comparison: both the O2 and
-// the O3 binary of the subject run against the identical tenant. The
-// shard-execution primitive for distributed tenant sweeps; its checkpoint
-// key is PointKey("tenant", b.Name, withCoRunner(setup, co)).
-func MeasureTenantPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, co string) (TenantPoint, error) {
-	s := withCoRunner(setup, co)
-	speedup, mb, mo, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return TenantPoint{}, err
-	}
-	label := co
-	if s.CoRunner.IsZero() {
-		label = TenantIdle
-	}
-	return TenantPoint{
-		CoRunner:   label,
-		CyclesBase: mb.Cycles,
-		CyclesOpt:  mo.Cycles,
-		Speedup:    speedup,
-	}, nil
+// Cycles returns the point's measured O2/O3 cycle pair.
+func (p TenantPoint) Cycles() (base, opt uint64) { return p.CyclesBase, p.CyclesOpt }
+
+// TenantGrid is the co-runner channel: setup with each named benchmark (or
+// TenantIdle) sharing the machine. The co-runner is part of the setup, not
+// the comparison: both the O2 and the O3 binary of the subject run against
+// the identical tenant.
+func TenantGrid(setup Setup, corunners []string) Grid[TenantPoint] {
+	return Grid[TenantPoint]{Kind: "tenant", Setups: applyEach(setup, corunners, func(s *Setup, co string) { *s = withCoRunner(*s, co) }),
+		Point: func(i int, base, opt uint64) TenantPoint {
+			label := corunners[i]
+			if label == "" {
+				label = TenantIdle
+			}
+			return TenantPoint{CoRunner: label, CyclesBase: base, CyclesOpt: opt, Speedup: speedup(base, opt)}
+		}}
 }
 
 // TenantPointKey returns the checkpoint key of one tenant-sweep point —
-// the key TenantSweepCheckpointed records under, exported for cluster
-// shard execution.
+// the key TenantGrid's point for co records under.
 func TenantPointKey(benchName string, setup Setup, co string) string {
 	return sweepKey("tenant", benchName, withCoRunner(setup, co))
-}
-
-// TenantSweep measures b's speedup against every co-runner in corunners.
-func TenantSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, corunners []string) ([]TenantPoint, error) {
-	return TenantSweepCheckpointed(ctx, r, b, setup, corunners, nil)
-}
-
-// TenantSweepCheckpointed is TenantSweep with journal-based
-// checkpoint/resume; see EnvSweepCheckpointed for the journal and
-// partial-result contract.
-func TenantSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, corunners []string, ck Checkpoint) ([]TenantPoint, error) {
-	points := make([]TenantPoint, len(corunners))
-	done := make([]bool, len(corunners))
-	pending := make([]int, 0, len(corunners))
-	for i, co := range corunners {
-		if ck != nil {
-			var p TenantPoint
-			ok, err := ck.Lookup(TenantPointKey(b.Name, setup, co), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				points[i], done[i] = p, true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureTenantPoint(ctx, r, b, setup, corunners[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.Record(TenantPointKey(b.Name, setup, corunners[i]), p); err != nil {
-				return err
-			}
-		}
-		points[i], done[i] = p, true
-		return nil
-	})
-	if err != nil {
-		completed := gatherDone(points, done)
-		return completed, fmt.Errorf("core: tenant sweep of %s incomplete (%d of %d points measured): %w",
-			b.Name, len(completed), len(corunners), err)
-	}
-	return points, nil
 }
 
 // RandomSetupsTenant draws n randomized setups exactly like RandomSetups
@@ -144,62 +86,6 @@ func RandomSetupsTenant(base Setup, n, numUnits int, seed uint64, candidates []s
 		setups[i] = withCoRunner(setups[i], candidates[rng.Intn(len(candidates))])
 	}
 	return setups
-}
-
-// EstimateSpeedupTenant runs b under n setups with every factor —
-// including the co-runner — randomized, and returns the robust estimate.
-// This is the Kalibera & Jones discipline applied to interference:
-// a co-runner is a nuisance factor like environment size, so a "serving"
-// conclusion must randomize over tenants, not fix one.
-func EstimateSpeedupTenant(ctx context.Context, r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64) (*RobustEstimate, error) {
-	return EstimateSpeedupTenantCheckpointed(ctx, r, b, base, n, seed, nil)
-}
-
-// EstimateSpeedupTenantCheckpointed is EstimateSpeedupTenant with
-// journal-based checkpoint/resume, sharing the "rand" checkpoint
-// namespace (a setup's key includes its co-runner, so tenant-randomized
-// points can never replay for idle-only ones or vice versa). The
-// hierarchical interval groups setups by tenant identity: the co-runner
-// is the random effect, so between-tenant variance — the channel itself —
-// is what widens the interval.
-func EstimateSpeedupTenantCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64, ck Checkpoint) (*RobustEstimate, error) {
-	setups := RandomSetupsTenant(base, n, len(r.UnitNames(b)), seed, DefaultCoRunners())
-	speedups := make([]float64, n)
-	pending := make([]int, 0, n)
-	for i, s := range setups {
-		if ck != nil {
-			var p RandomPoint
-			ok, err := ck.Lookup(sweepKey("rand", b.Name, s), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				speedups[i] = p.Speedup
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureRandomPoint(ctx, r, b, setups[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.Record(sweepKey("rand", b.Name, setups[i]), p); err != nil {
-				return err
-			}
-		}
-		speedups[i] = p.Speedup
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	est := newRobustEstimate(b.Name, base.Machine, speedups, seed)
-	est.HierCI = tenantHierCI(b.Name, base.Machine, setups, speedups, seed)
-	return est, nil
 }
 
 // tenantHierCI computes the hierarchical interval with setups grouped by

@@ -68,7 +68,7 @@ func (l *Lab) AblationLink() (*Result, error) {
 		for _, name := range benchNames {
 			b, _ := bench.ByName(name)
 			setup := core.DefaultSetup(v.key)
-			points, err := core.LinkSweepCheckpointed(l.ctx, l.Runner, b, setup, l.opt.LinkOrders, l.opt.Seed, l.ck)
+			points, err := core.Sweep(l.ctx, l.Runner, b, core.LinkGrid(setup, core.LinkCandidates(l.Runner.UnitNames(b), l.opt.LinkOrders, l.opt.Seed)), l.ck)
 			if err != nil {
 				return nil, err
 			}

@@ -42,7 +42,7 @@ func (l *Lab) AblationPrefetch() (*Result, error) {
 		for _, name := range benchNames {
 			b, _ := bench.ByName(name)
 			setup := core.DefaultSetup(key)
-			points, err := core.EnvSweepCheckpointed(l.ctx, l.Runner, b, setup, sizes, l.ck)
+			points, err := core.Sweep(l.ctx, l.Runner, b, core.EnvGrid(setup, sizes), l.ck)
 			if err != nil {
 				return nil, err
 			}

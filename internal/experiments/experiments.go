@@ -151,7 +151,7 @@ func (l *Lab) linkStudy(machineName string) (studyData, error) {
 // perlbenchSweep runs the fine-grained env sweep behind Figures 1 and 2.
 func (l *Lab) perlbenchSweep() ([]core.EnvPoint, error) {
 	b, _ := bench.ByName("perlbench")
-	return core.EnvSweepCheckpointed(l.ctx, l.Runner, b, core.DefaultSetup("core2"), core.DefaultEnvSizes(l.opt.FineStep), l.ck)
+	return core.Sweep(l.ctx, l.Runner, b, core.EnvGrid(core.DefaultSetup("core2"), core.DefaultEnvSizes(l.opt.FineStep)), l.ck)
 }
 
 // Figure1 regenerates Figure 1: cycles of the perlbench analogue at O2 and
@@ -415,15 +415,11 @@ func (l *Lab) Table4() (*Result, error) {
 			b, _ := bench.ByName(name)
 			setup := core.DefaultSetup("core2")
 			setup.Compiler.Personality = pers
-			points, err := core.EnvSweepCheckpointed(l.ctx, l.Runner, b, setup, sizes, l.ck)
+			points, err := core.Sweep(l.ctx, l.Runner, b, core.EnvGrid(setup, sizes), l.ck)
 			if err != nil {
 				return nil, err
 			}
-			sp := make([]float64, len(points))
-			for i, p := range points {
-				sp[i] = p.Speedup
-			}
-			rep := core.NewBiasReport(name, "core2", "env", sp)
+			rep := core.NewBiasReport(name, "core2", "env", core.Speedups(points))
 			t.AddRow(pers.String(), name, rep.Speedups.Min, rep.Speedups.Median, rep.Speedups.Max,
 				rep.Speedups.Range(), rep.FlipsSign)
 		}

@@ -48,8 +48,8 @@ const (
 // are zeroed by Canonicalize so that two requests for the same work always
 // hash to the same content key, however sloppily they were filled in.
 type JobSpec struct {
-	// Kind selects the measurement: run, sweep-env, sweep-link, randomize,
-	// or experiment.
+	// Kind selects the measurement: run, sweep-env, sweep-pad, sweep-base,
+	// sweep-link, sweep-tenant, randomize, or experiment.
 	Kind string `json:"kind"`
 	// Size is the workload size: test, small (default), or ref.
 	Size string `json:"size,omitempty"`
@@ -67,10 +67,10 @@ type JobSpec struct {
 	// Step is the environment-size step for sweep-env jobs (default 128).
 	Step uint64 `json:"step,omitempty"`
 	// Orders is the number of random link orders for sweep-link jobs
-	// (default 16).
+	// (default 16, at most 1024).
 	Orders int `json:"orders,omitempty"`
-	// N is the number of randomized setups for randomize jobs (default 16;
-	// the maximum when Tol is set).
+	// N is the number of randomized setups for randomize jobs (default 16,
+	// at most 4096; the maximum when Tol is set).
 	N int `json:"n,omitempty"`
 	// Tol switches randomize jobs to adaptive sampling: stop when the 95%
 	// CI half-width falls below Tol.
@@ -118,6 +118,15 @@ type JobSpec struct {
 	// share one cached result.
 	AuditAllow []string `json:"audit_allow,omitempty"`
 }
+
+// Upper bounds on the untrusted point counts a spec may request. Execution
+// and shard planning allocate per point before measuring anything, so an
+// unbounded count would let one submission exhaust the daemon's memory.
+// Every shipped spec stays far below them.
+const (
+	maxOrders = 1024
+	maxN      = 4096
+)
 
 // parseSize maps a spec size to the bench workload size.
 func parseSize(s string) (bench.Size, error) {
@@ -244,6 +253,9 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		if c.Orders <= 0 {
 			c.Orders = 16
 		}
+		if c.Orders > maxOrders {
+			return JobSpec{}, fmt.Errorf("orders %d exceeds the limit of %d", c.Orders, maxOrders)
+		}
 		c.Seed = spec.Seed
 		if c.Seed == 0 {
 			c.Seed = 1
@@ -269,6 +281,9 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		c.N = spec.N
 		if c.N <= 0 {
 			c.N = 16
+		}
+		if c.N > maxN {
+			return JobSpec{}, fmt.Errorf("n %d exceeds the limit of %d", c.N, maxN)
 		}
 		if spec.Tol < 0 {
 			return JobSpec{}, fmt.Errorf("negative tol %v", spec.Tol)
@@ -378,15 +393,18 @@ func newErrorDetail(err error) *ErrorDetail {
 	return d
 }
 
-// Progress is a job's per-point progress. Total is 0 when the point count
-// is not known up front (experiment jobs).
+// Progress is a job's per-point progress. Grid jobs (sweeps and fixed-n
+// randomize) announce Total before their first point; run and
+// adaptive-sampling randomize jobs set it on completion; experiment jobs
+// leave it 0. A job that finished done with a non-zero Total has Done ==
+// Total.
 type Progress struct {
 	// Done counts completed points, fresh and replayed together.
 	Done int `json:"done"`
 	// Replayed counts the subset of Done served from the checkpoint
 	// journal of an earlier, interrupted run of the same job.
 	Replayed int `json:"replayed"`
-	// Total is the number of points the job will complete, when known.
+	// Total is the number of points the job completes, when known.
 	Total int `json:"total,omitempty"`
 }
 

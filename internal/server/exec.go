@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
 	"biaslab/internal/channels"
 	"biaslab/internal/core"
@@ -17,29 +18,26 @@ import (
 // computes locally.
 //
 // spec must be canonical (Canonicalize it first); r must have been built
-// at spec's workload size. ck (optional) checkpoints sweep and experiment
-// points for crash-safe resume. onTotal (optional) is told the job's point
-// count as soon as it is known.
+// at spec's workload size. ck (optional) checkpoints grid and experiment
+// points for crash-safe resume. onTotal (optional) is told a grid job's
+// point count before the first point is measured.
 func Execute(ctx context.Context, r *core.Runner, spec JobSpec, ck core.Checkpoint, onTotal func(int)) (*Result, error) {
-	if onTotal == nil {
-		onTotal = func(int) {}
+	g, err := GridOf(spec)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{Kind: spec.Kind, Spec: spec}
-	var err error
-	switch spec.Kind {
-	case KindRun:
-		res.Run, err = executeRun(ctx, r, spec, onTotal)
-	case KindSweepEnv:
-		res.EnvSweep, err = executeEnvSweep(ctx, r, spec, ck, onTotal)
-	case KindSweepLink:
-		res.LinkSweep, err = executeLinkSweep(ctx, r, spec, ck, onTotal)
-	case KindSweepPad, KindSweepBase:
-		res.ChannelSweep, err = executeChannelSweep(ctx, r, spec, ck, onTotal)
-	case KindSweepTenant:
-		res.TenantSweep, err = executeTenantSweep(ctx, r, spec, ck, onTotal)
-	case KindRandomize:
-		res.Randomize, err = executeRandomize(ctx, r, spec, ck, onTotal)
-	case KindExperiment:
+	switch {
+	case g != nil:
+		if onTotal != nil {
+			onTotal(g.Len())
+		}
+		err = g.run(ctx, r, ck, res)
+	case spec.Kind == KindRun:
+		res.Run, err = executeRun(ctx, r, spec)
+	case spec.Kind == KindRandomize:
+		res.Randomize, err = executeAdaptiveRandomize(ctx, r, spec)
+	case spec.Kind == KindExperiment:
 		res.Experiment, err = executeExperiment(ctx, r, spec, ck)
 	default:
 		return nil, fmt.Errorf("server: unknown job kind %q", spec.Kind)
@@ -50,10 +48,145 @@ func Execute(ctx context.Context, r *core.Runner, spec JobSpec, ck core.Checkpoi
 	return res, nil
 }
 
+// Grid is a grid job's measurement set with its point type erased: every
+// point's checkpoint key, in measurement order, and the means to measure
+// one point or the whole set. Every sweep kind and fixed-n randomize is a
+// grid job; run, experiment and adaptive-sampling randomize (tol > 0) are
+// not. GridOf is the one place a job kind becomes a measurement set, so
+// the executor, the shard planner and the shard executor cannot drift
+// apart on points or keys.
+type Grid struct {
+	// Adaptive marks a sweep measured through the oracle-planned driver.
+	// Its measurement set depends on runtime verification, so it is not
+	// shardable; its point keys are the dense sweep's.
+	Adaptive bool
+
+	bench   string
+	kind    string
+	setups  []core.Setup
+	measure func(ctx context.Context, r *core.Runner, i int) (any, error)
+	run     func(ctx context.Context, r *core.Runner, ck core.Checkpoint, res *Result) error
+}
+
+// Len is the number of points.
+func (g *Grid) Len() int { return len(g.setups) }
+
+// Key returns point i's checkpoint key.
+func (g *Grid) Key(i int) string { return core.PointKey(g.kind, g.bench, g.setups[i]) }
+
+// Measure measures point i alone and returns its wire point: the value the
+// single-node path journals under Key(i).
+func (g *Grid) Measure(ctx context.Context, r *core.Runner, i int) (any, error) {
+	return g.measure(ctx, r, i)
+}
+
+// GridOf maps a canonical spec to its grid, or to nil for a job that is
+// not a grid. The grid is a pure function of the spec: the benchmark's
+// unit list comes from the spec's workload size.
+func GridOf(spec JobSpec) (*Grid, error) {
+	ch, sweep := channels.ByJobKind(spec.Kind)
+	if !sweep && (spec.Kind != KindRandomize || spec.Tol > 0) {
+		return nil, nil
+	}
+	setup, b, err := BaseSetup(spec)
+	if err != nil {
+		return nil, err
+	}
+	size, err := parseSize(spec.Size)
+	if err != nil {
+		return nil, err
+	}
+	report := func(speedups []float64) core.BiasReport {
+		return core.NewBiasReport(b.Name, spec.Machine, ch.Factor, speedups)
+	}
+	switch spec.Kind {
+	case KindSweepEnv:
+		sizes := core.DefaultEnvSizes(spec.Step)
+		plan := func(r *core.Runner) (*analysis.EnvPlan, error) { return core.PlanEnvSweep(r, b, setup, sizes) }
+		return sweepGrid(spec, b, core.EnvGrid(setup, sizes), plan, func(res *Result, points []core.EnvPoint, adaptive *core.AdaptiveSweepStats) {
+			res.EnvSweep = &EnvSweepResult{Benchmark: b.Name, Machine: spec.Machine, Points: points, Adaptive: adaptive, Report: report(core.Speedups(points))}
+		}), nil
+	case KindSweepPad, KindSweepBase:
+		values, grid, planner := core.DefaultPadSizes(), core.PadGrid, core.PlanPadSweep
+		if spec.Kind == KindSweepBase {
+			values, grid, planner = core.DefaultTextBases(), core.BaseGrid, core.PlanBaseSweep
+		}
+		plan := func(r *core.Runner) (*analysis.EnvPlan, error) { return planner(r, b, setup, values) }
+		return sweepGrid(spec, b, grid(setup, values), plan, func(res *Result, points []core.ChannelPoint, adaptive *core.AdaptiveSweepStats) {
+			res.ChannelSweep = &ChannelSweepResult{Benchmark: b.Name, Machine: spec.Machine, Channel: ch.Name, Points: points, Adaptive: adaptive, Report: report(core.Speedups(points))}
+		}), nil
+	case KindSweepLink:
+		cands := core.LinkCandidates(b.UnitNames(size), spec.Orders, spec.Seed)
+		return denseGrid(b, core.LinkGrid(setup, cands), func(res *Result, points []core.LinkPoint) {
+			res.LinkSweep = &LinkSweepResult{Benchmark: b.Name, Machine: spec.Machine, Points: points, Report: report(core.Speedups(points))}
+		}), nil
+	case KindSweepTenant:
+		return denseGrid(b, core.TenantGrid(setup, core.DefaultCoRunners()), func(res *Result, points []core.TenantPoint) {
+			res.TenantSweep = &TenantSweepResult{Benchmark: b.Name, Machine: spec.Machine, CoLevel: spec.CoLevel, Quantum: spec.Quantum, Points: points, Report: report(core.Speedups(points))}
+		}), nil
+	}
+	// Fixed-n randomize: the co-runner is one more randomized factor when
+	// the spec asks for it.
+	units := len(b.UnitNames(size))
+	var setups []core.Setup
+	if spec.CoRandom {
+		setups = core.RandomSetupsTenant(setup, spec.N, units, spec.Seed, core.DefaultCoRunners())
+	} else {
+		setups = core.RandomSetups(setup, spec.N, units, spec.Seed)
+	}
+	return denseGrid(b, core.RandomGrid(setups), func(res *Result, points []core.RandomPoint) {
+		est := core.RandomEstimate(b.Name, spec.Machine, setups, points, spec.Seed, spec.CoRandom)
+		res.Randomize = &RandomizeResult{Estimate: *est, Conclusive: est.Conclusive()}
+	}), nil
+}
+
+// denseGrid erases a core grid's point type: its points are measured by
+// the dense driver and finish assembles the result payload from them.
+func denseGrid[P any](b *bench.Benchmark, g core.Grid[P], finish func(res *Result, points []P)) *Grid {
+	return &Grid{
+		bench:  b.Name,
+		kind:   g.Kind,
+		setups: g.Setups,
+		measure: func(ctx context.Context, r *core.Runner, i int) (any, error) {
+			return g.Measure(ctx, r, b, i)
+		},
+		run: func(ctx context.Context, r *core.Runner, ck core.Checkpoint, res *Result) error {
+			points, err := core.Sweep(ctx, r, b, g, ck)
+			if err != nil {
+				return err
+			}
+			finish(res, points)
+			return nil
+		},
+	}
+}
+
+// sweepGrid is denseGrid for a channel with an oracle: when the spec asks
+// for an adaptive sweep, the planned driver measures the grid against
+// plan's prediction and finish also receives its measurement ledger.
+func sweepGrid[P core.SweepPoint](spec JobSpec, b *bench.Benchmark, g core.Grid[P], plan func(*core.Runner) (*analysis.EnvPlan, error), finish func(res *Result, points []P, adaptive *core.AdaptiveSweepStats)) *Grid {
+	grid := denseGrid(b, g, func(res *Result, points []P) { finish(res, points, nil) })
+	if spec.Adaptive {
+		grid.Adaptive = true
+		grid.run = func(ctx context.Context, r *core.Runner, ck core.Checkpoint, res *Result) error {
+			p, err := plan(r)
+			if err != nil {
+				return err
+			}
+			points, stats, err := core.SweepPlanned(ctx, r, b, g, p, ck)
+			if err != nil {
+				return err
+			}
+			finish(res, points, &stats)
+			return nil
+		}
+	}
+	return grid
+}
+
 // BaseSetup builds the setup a canonical spec starts from and resolves its
-// benchmark. Exported for the cluster package, whose shard planner and
-// shard executor must derive exactly the setups the single-node path
-// measures.
+// benchmark. Exported for the auditor, whose oracle-backed rules must plan
+// over exactly the setups the single-node path measures.
 func BaseSetup(spec JobSpec) (core.Setup, *bench.Benchmark, error) {
 	b, ok := bench.ByName(spec.Bench)
 	if !ok {
@@ -73,13 +206,12 @@ func BaseSetup(spec JobSpec) (core.Setup, *bench.Benchmark, error) {
 	return setup, b, nil
 }
 
-func executeRun(ctx context.Context, r *core.Runner, spec JobSpec, onTotal func(int)) (*RunResult, error) {
+func executeRun(ctx context.Context, r *core.Runner, spec JobSpec) (*RunResult, error) {
 	setup, b, err := BaseSetup(spec)
 	if err != nil {
 		return nil, err
 	}
 	setup.EnvBytes = spec.EnvBytes
-	onTotal(1)
 	m, err := r.Measure(ctx, b, setup)
 	if err != nil {
 		return nil, err
@@ -94,143 +226,16 @@ func executeRun(ctx context.Context, r *core.Runner, spec JobSpec, onTotal func(
 	}, nil
 }
 
-func executeEnvSweep(ctx context.Context, r *core.Runner, spec JobSpec, ck core.Checkpoint, onTotal func(int)) (*EnvSweepResult, error) {
+// executeAdaptiveRandomize samples randomized setups until the interval is
+// tight enough. Its setup count depends on interim intervals, so it is not
+// a grid and is not checkpointed: a resumed run must re-decide when to
+// stop.
+func executeAdaptiveRandomize(ctx context.Context, r *core.Runner, spec JobSpec) (*RandomizeResult, error) {
 	setup, b, err := BaseSetup(spec)
 	if err != nil {
 		return nil, err
 	}
-	sizes := core.DefaultEnvSizes(spec.Step)
-	onTotal(len(sizes))
-	var points []core.EnvPoint
-	var adaptive *core.AdaptiveSweepStats
-	if spec.Adaptive {
-		var stats core.AdaptiveSweepStats
-		points, stats, err = core.EnvSweepAdaptive(ctx, r, b, setup, sizes, ck)
-		adaptive = &stats
-	} else {
-		points, err = core.EnvSweepCheckpointed(ctx, r, b, setup, sizes, ck)
-	}
-	if err != nil {
-		return nil, err
-	}
-	speedups := make([]float64, len(points))
-	for i, p := range points {
-		speedups[i] = p.Speedup
-	}
-	return &EnvSweepResult{
-		Benchmark: b.Name,
-		Machine:   spec.Machine,
-		Points:    points,
-		Adaptive:  adaptive,
-		Report:    core.NewBiasReport(b.Name, spec.Machine, "environment size", speedups),
-	}, nil
-}
-
-func executeChannelSweep(ctx context.Context, r *core.Runner, spec JobSpec, ck core.Checkpoint, onTotal func(int)) (*ChannelSweepResult, error) {
-	setup, b, err := BaseSetup(spec)
-	if err != nil {
-		return nil, err
-	}
-	channel, factor := "pad", "text padding"
-	values := core.DefaultPadSizes()
-	sweep, adaptiveSweep := core.PadSweepCheckpointed, core.PadSweepAdaptive
-	if spec.Kind == KindSweepBase {
-		channel, factor = "base", "image base"
-		values = core.DefaultTextBases()
-		sweep, adaptiveSweep = core.BaseSweepCheckpointed, core.BaseSweepAdaptive
-	}
-	onTotal(len(values))
-	var points []core.ChannelPoint
-	var adaptive *core.AdaptiveSweepStats
-	if spec.Adaptive {
-		var stats core.AdaptiveSweepStats
-		points, stats, err = adaptiveSweep(ctx, r, b, setup, values, ck)
-		adaptive = &stats
-	} else {
-		points, err = sweep(ctx, r, b, setup, values, ck)
-	}
-	if err != nil {
-		return nil, err
-	}
-	speedups := make([]float64, len(points))
-	for i, p := range points {
-		speedups[i] = p.Speedup
-	}
-	return &ChannelSweepResult{
-		Benchmark: b.Name,
-		Machine:   spec.Machine,
-		Channel:   channel,
-		Points:    points,
-		Adaptive:  adaptive,
-		Report:    core.NewBiasReport(b.Name, spec.Machine, factor, speedups),
-	}, nil
-}
-
-func executeLinkSweep(ctx context.Context, r *core.Runner, spec JobSpec, ck core.Checkpoint, onTotal func(int)) (*LinkSweepResult, error) {
-	setup, b, err := BaseSetup(spec)
-	if err != nil {
-		return nil, err
-	}
-	onTotal(spec.Orders + 2) // default + alphabetical + random orders
-	points, err := core.LinkSweepCheckpointed(ctx, r, b, setup, spec.Orders, spec.Seed, ck)
-	if err != nil {
-		return nil, err
-	}
-	speedups := make([]float64, len(points))
-	for i, p := range points {
-		speedups[i] = p.Speedup
-	}
-	return &LinkSweepResult{
-		Benchmark: b.Name,
-		Machine:   spec.Machine,
-		Points:    points,
-		Report:    core.NewBiasReport(b.Name, spec.Machine, "link order", speedups),
-	}, nil
-}
-
-func executeTenantSweep(ctx context.Context, r *core.Runner, spec JobSpec, ck core.Checkpoint, onTotal func(int)) (*TenantSweepResult, error) {
-	setup, b, err := BaseSetup(spec)
-	if err != nil {
-		return nil, err
-	}
-	ch, _ := channels.ByName("tenant")
-	corunners := core.DefaultCoRunners()
-	onTotal(len(corunners))
-	points, err := core.TenantSweepCheckpointed(ctx, r, b, setup, corunners, ck)
-	if err != nil {
-		return nil, err
-	}
-	speedups := make([]float64, len(points))
-	for i, p := range points {
-		speedups[i] = p.Speedup
-	}
-	return &TenantSweepResult{
-		Benchmark: b.Name,
-		Machine:   spec.Machine,
-		CoLevel:   spec.CoLevel,
-		Quantum:   spec.Quantum,
-		Points:    points,
-		Report:    core.NewBiasReport(b.Name, spec.Machine, ch.Factor, speedups),
-	}, nil
-}
-
-func executeRandomize(ctx context.Context, r *core.Runner, spec JobSpec, ck core.Checkpoint, onTotal func(int)) (*RandomizeResult, error) {
-	setup, b, err := BaseSetup(spec)
-	if err != nil {
-		return nil, err
-	}
-	onTotal(spec.N)
-	var est *core.RobustEstimate
-	switch {
-	case spec.Tol > 0:
-		// Adaptive sampling's setup count depends on interim intervals, so
-		// it is not checkpointed: a resumed run must re-decide when to stop.
-		est, err = core.EstimateSpeedupAdaptive(ctx, r, b, setup, spec.Tol, 4, spec.N, spec.Seed)
-	case spec.CoRandom:
-		est, err = core.EstimateSpeedupTenantCheckpointed(ctx, r, b, setup, spec.N, spec.Seed, ck)
-	default:
-		est, err = core.EstimateSpeedupCheckpointed(ctx, r, b, setup, spec.N, spec.Seed, ck)
-	}
+	est, err := core.EstimateSpeedupAdaptive(ctx, r, b, setup, spec.Tol, 4, spec.N, spec.Seed)
 	if err != nil {
 		return nil, err
 	}

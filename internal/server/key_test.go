@@ -129,6 +129,11 @@ func TestKeyRejectsInvalidSpecs(t *testing.T) {
 		{Kind: server.KindSweepEnv},
 		{Kind: server.KindSweepEnv, Bench: "hmmer", Size: "jumbo"},
 		{Kind: server.KindExperiment},
+		{Kind: server.KindSweepLink, Bench: "mcf", Orders: 1 << 40},
+		{Kind: server.KindSweepLink, Bench: "mcf", Orders: 1025},
+		{Kind: server.KindRandomize, Bench: "mcf", N: 1 << 40},
+		{Kind: server.KindRandomize, Bench: "mcf", N: 4097},
+		{Kind: server.KindRandomize, Bench: "mcf", N: 1 << 40, Tol: 0.01},
 	} {
 		if _, err := server.Key(spec); err == nil {
 			t.Errorf("Key(%+v) succeeded, want error", spec)

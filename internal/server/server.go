@@ -65,21 +65,12 @@ type ShardRunner interface {
 }
 
 // Shardable reports whether a canonical spec names a job the cluster can
-// shard: a job whose result decomposes into an enumerable set of
-// independent points. Adaptive sweeps (the measurement set depends on
-// oracle verification at runtime) and adaptive randomize (the sample count
-// depends on interim intervals) stay coordinator-local, as do run and
-// experiment jobs.
+// shard: a grid job whose measurement set is fixed up front. Adaptive
+// sweeps (the measurement set depends on oracle verification at runtime)
+// stay coordinator-local, as do the jobs that are not grids at all.
 func Shardable(spec JobSpec) bool {
-	switch spec.Kind {
-	case KindSweepEnv, KindSweepPad, KindSweepBase:
-		return !spec.Adaptive
-	case KindSweepLink, KindSweepTenant:
-		return true
-	case KindRandomize:
-		return spec.Tol == 0
-	}
-	return false
+	g, err := GridOf(spec)
+	return err == nil && g != nil && !g.Adaptive
 }
 
 // Server is the biaslabd engine: a bounded worker pool over the
@@ -491,11 +482,14 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 		// job journal is shared between both paths, so any points a
 		// previous partial cluster run delivered are replayed, not lost.
 	}
+	// Grid and experiment jobs checkpoint every point; the rest measure
+	// too little, or decide too much at runtime, to resume.
+	g, err := GridOf(spec)
+	if err != nil {
+		return nil, err
+	}
 	var ck core.Checkpoint
-	switch {
-	case spec.Kind == KindSweepEnv, spec.Kind == KindSweepPad, spec.Kind == KindSweepBase,
-		spec.Kind == KindSweepLink, spec.Kind == KindSweepTenant, spec.Kind == KindExperiment,
-		spec.Kind == KindRandomize && spec.Tol == 0:
+	if g != nil || spec.Kind == KindExperiment {
 		jobCk, closeCk, err := s.jobCheckpoint(j)
 		if err != nil {
 			return nil, err
@@ -507,11 +501,15 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Run and adaptive-sampling randomize jobs report their point count on
+	// completion.
 	switch {
 	case res.Run != nil:
+		j.setTotal(1)
 		j.point("run", false)
 		s.metrics.point(false)
-	case res.Randomize != nil:
+	case g == nil && res.Randomize != nil:
+		j.setTotal(res.Randomize.Estimate.N)
 		j.setDone(res.Randomize.Estimate.N)
 	}
 	return EncodeResult(res)
@@ -615,8 +613,8 @@ func (j *job) setTotal(n int) {
 	j.progress.Total = n
 }
 
-// setDone pins the completed count (randomize jobs, which report progress
-// only at the end).
+// setDone pins the completed count (adaptive-sampling randomize jobs,
+// which report progress only at the end).
 func (j *job) setDone(n int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

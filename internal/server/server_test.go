@@ -364,3 +364,36 @@ func TestRunJobThroughHTTP(t *testing.T) {
 		t.Errorf("/metrics drifted from snapshot:\n%s\nvs\n%s", metrics, want)
 	}
 }
+
+// TestProgressCountsMatchOnCompletion: every job that finishes done reads
+// done == total. A grid job announces its total up front; an adaptive
+// randomize job that stops early, and a run job, report theirs on
+// completion instead of claiming points they never measure.
+func TestProgressCountsMatchOnCompletion(t *testing.T) {
+	srv := newServer(t, t.TempDir(), 2)
+	defer srv.Shutdown(context.Background())
+
+	for _, tc := range []struct {
+		spec server.JobSpec
+		want int
+	}{
+		// A loose tolerance stops at the 4-setup minimum, far below n.
+		{server.JobSpec{Kind: server.KindRandomize, Size: "test", Bench: "hmmer", Machine: "p4", N: 16, Tol: 1}, 4},
+		{server.JobSpec{Kind: server.KindRandomize, Size: "test", Bench: "hmmer", Machine: "p4", N: 5}, 5},
+		{server.JobSpec{Kind: server.KindSweepTenant, Size: "test", Bench: "hmmer", Machine: "p4"}, len(core.DefaultCoRunners())},
+		{server.JobSpec{Kind: server.KindRun, Size: "test", Bench: "hmmer", Machine: "p4"}, 1},
+	} {
+		sub, err := srv.Submit(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitDone(t, srv, sub.ID)
+		if st.State != server.StateDone {
+			t.Fatalf("%s job finished %s: %+v", tc.spec.Kind, st.State, st.Error)
+		}
+		if p := st.Progress; p.Done != tc.want || p.Total != tc.want {
+			t.Errorf("%s job (n=%d, tol=%v) finished with progress %+v, want done = total = %d",
+				tc.spec.Kind, tc.spec.N, tc.spec.Tol, p, tc.want)
+		}
+	}
+}

@@ -107,11 +107,16 @@ func BenchmarkFigure8(b *testing.B) { runExperiment(b, "F8") }
 func BenchmarkFigure9(b *testing.B) { runExperiment(b, "F9") }
 
 // BenchmarkSimulator measures raw simulator throughput (instructions per
-// second of host time), the figure of merit for harness cost planning.
+// second of host time), the figure of merit for harness cost planning. One
+// warm-up measurement before the timer keeps compile and link out of it.
 func BenchmarkSimulator(b *testing.B) {
 	r := biaslab.NewRunner(benchSize())
 	bm, _ := biaslab.Benchmark("libquantum")
 	setup := biaslab.DefaultSetup("core2")
+	if _, err := r.Measure(context.Background(), bm, setup); err != nil {
+		b.Fatal(err) // warm the compile/link caches
+	}
+	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
 		m, err := r.Measure(context.Background(), bm, setup)
@@ -221,10 +226,13 @@ func BenchmarkMeasureRepeated(b *testing.B) {
 // BenchmarkCoRun measures co-run simulation throughput: subject and
 // co-runner stepped through ONE shared cache/TLB/predictor hierarchy in
 // deterministic round-robin quanta. Warm Runner, so this is the pure
-// interleaved-execute cost; the Minstr/s metric counts the subject's
-// retired instructions only, making it directly comparable to
+// interleaved-execute cost: the machine and both image buffers come from
+// pools, so no iteration pays for a 32 MiB co-runner image or a fresh
+// hierarchy. The Minstr/s metric counts the subject's retired
+// instructions only, making it directly comparable to
 // BenchmarkMeasureRepeated's solo figure — the gap is the price of
-// tenancy (two images resident plus memo flushes at quantum boundaries).
+// tenancy (the co-runner's own execution plus memo flushes at quantum
+// boundaries).
 func BenchmarkCoRun(b *testing.B) {
 	r := biaslab.NewRunner(benchSize())
 	bm, _ := biaslab.Benchmark("sjeng")

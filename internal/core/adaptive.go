@@ -10,17 +10,21 @@ import (
 	"biaslab/internal/machine"
 )
 
-// machineConfig resolves a machine name to its configuration the same way
-// acquireMachine does: registered custom configs first, then the built-in
-// catalogue.
+// machineConfig resolves a machine name to its configuration: registered
+// custom configs first, then the built-in catalogue. acquireMachine builds
+// machines from it and releaseMachine checks returned ones against it.
 func (r *Runner) machineConfig(name string) (machine.Config, error) {
 	r.mu.Lock()
-	cfg, ok := r.custom[name]
-	r.mu.Unlock()
-	if ok {
+	defer r.mu.Unlock()
+	return r.machineConfigLocked(name)
+}
+
+// machineConfigLocked is machineConfig for callers that hold r.mu.
+func (r *Runner) machineConfigLocked(name string) (machine.Config, error) {
+	if cfg, ok := r.custom[name]; ok {
 		return cfg, nil
 	}
-	cfg, ok = machine.ConfigByName(name)
+	cfg, ok := machine.ConfigByName(name)
 	if !ok {
 		return machine.Config{}, fmt.Errorf("core: unknown machine %q", name)
 	}

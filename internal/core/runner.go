@@ -220,23 +220,24 @@ func (r *Runner) acquireMachine(name string) (*machine.Machine, error) {
 		r.mu.Unlock()
 		return m, nil
 	}
-	cfg, registered := r.custom[name]
 	r.mu.Unlock()
-	if !registered {
-		var ok bool
-		cfg, ok = machine.ConfigByName(name)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown machine %q", name)
-		}
+	cfg, err := r.machineConfig(name)
+	if err != nil {
+		return nil, err
 	}
 	return machine.New(cfg), nil
 }
 
-// releaseMachine returns a machine to the pool.
+// releaseMachine returns a machine to the pool, unless the name was
+// re-registered with another config while the machine was out: such a
+// machine is dropped, so the pool only ever holds the current geometry.
 func (r *Runner) releaseMachine(name string, m *machine.Machine) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cfg, err := r.machineConfigLocked(name); err != nil || m.Config() != cfg {
+		return
+	}
 	r.machines[name] = append(r.machines[name], m)
-	r.mu.Unlock()
 }
 
 // UnitNames returns the names of b's translation units in default order.
@@ -567,11 +568,12 @@ func (r *Runner) measureCoRun(ctx context.Context, b *bench.Benchmark, setup Set
 		if err := faultinject.Check("measure", sid); err != nil {
 			return err
 		}
-		cfg, err := r.machineConfig(setup.Machine)
+		m, err := r.acquireMachine(setup.Machine)
 		if err != nil {
 			return err
 		}
-		subjRes, coRes, err := tenancy.CoRun(ctx, cfg, subject, coImg, setup.CoRunner.Quantum, r.MaxInstructions)
+		subjRes, coRes, err := tenancy.CoRunOn(ctx, m, subject, coImg, setup.CoRunner.Quantum, r.MaxInstructions)
+		r.releaseMachine(setup.Machine, m)
 		if err != nil {
 			return fmt.Errorf("core: co-running %s with %s: %w", b.Name, coBench.Name, err)
 		}
@@ -584,7 +586,8 @@ func (r *Runner) measureCoRun(ctx context.Context, b *bench.Benchmark, setup Set
 		res = subjRes
 		return nil
 	}); err != nil {
-		// Both images are dropped, not released, on failure.
+		// Both images are dropped, not released, on failure, and so is the
+		// machine after a panic.
 		return nil, err
 	}
 	coImg.Release()

@@ -151,3 +151,82 @@ func TestRegisterMachinePurgesPool(t *testing.T) {
 		t.Errorf("re-registered config cycles %d != fresh runner cycles %d", second.Cycles, want.Cycles)
 	}
 }
+
+// TestReleaseDropsReplacedMachine is the regression test for a machine
+// that is out of the pool while its name is re-registered: returning it
+// must not put the old geometry back into the pool RegisterMachine just
+// purged.
+func TestReleaseDropsReplacedMachine(t *testing.T) {
+	b, _ := bench.ByName("libquantum")
+	setup := DefaultSetup("ablated")
+
+	slow := machine.PentiumIV()
+	slow.Name = "ablated"
+	fast := slow
+	fast.Penalties.Mispredict += 100 // guaranteed to change cycle counts
+
+	r := NewRunner(bench.SizeTest)
+	if err := r.RegisterMachine("ablated", slow); err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.acquireMachine("ablated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RegisterMachine("ablated", fast); err != nil {
+		t.Fatal(err)
+	}
+	r.releaseMachine("ablated", m)
+	if n := len(r.machines["ablated"]); n != 0 {
+		t.Fatalf("pool holds %d machine(s) built for the replaced config", n)
+	}
+
+	got, err := r.Measure(context.Background(), b, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewRunner(bench.SizeTest)
+	if err := fresh.RegisterMachine("ablated", fast); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Measure(context.Background(), b, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles {
+		t.Errorf("measured %d cycles after re-registering, fresh runner %d (stale machine returned to pool)", got.Cycles, want.Cycles)
+	}
+}
+
+// TestPooledCoRunBitIdentical interleaves solo and co-run measurements on
+// one Runner, so co-runs reuse machines and image buffers that solo runs
+// and other co-runs dirtied. Every measurement must be bit-identical to
+// the same setup measured first thing on a fresh Runner.
+func TestPooledCoRunBitIdentical(t *testing.T) {
+	b, _ := bench.ByName("hmmer")
+	var setups []Setup
+	for _, mach := range []string{"core2", "p4"} {
+		solo := DefaultSetup(mach)
+		coMilc, coLbm := solo, solo
+		coMilc.CoRunner = CoRunner{Bench: "milc"}
+		coLbm.CoRunner = CoRunner{Bench: "lbm", Quantum: 1000}
+		shifted := solo
+		shifted.EnvBytes = 1000
+		setups = append(setups, solo, coMilc, coLbm, shifted)
+	}
+
+	shared := NewRunner(bench.SizeTest)
+	for i, s := range setups {
+		got, err := shared.Measure(context.Background(), b, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewRunner(bench.SizeTest).Measure(context.Background(), b, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cycles != want.Cycles || got.Counters != want.Counters || got.Checksum != want.Checksum {
+			t.Errorf("setup %d (%s): pooled measurement diverged from a fresh Runner:\npooled: %+v\nfresh:  %+v", i, s, got, want)
+		}
+	}
+}

@@ -164,28 +164,43 @@ type Image struct {
 	Exe *linker.Executable
 }
 
-// memPool recycles default-geometry image buffers across runs. Every buffer
-// in the pool is fully zero — New allocates zeroed memory and Release clears
-// before returning — so a pooled Load starts from exactly the state a fresh
-// allocation would, preserving bit-identical execution.
-var memPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, DefaultMemSize)
-		return &b
-	},
+// memPools recycles image buffers across runs, one pool per buffer size,
+// so the 16 MiB solo geometry and the 32 MiB co-runner geometry are both
+// recycled and a Load never receives a buffer of another size. Every
+// buffer in a pool is fully zero — the pool allocates zeroed memory and
+// Release clears before returning — so a pooled Load starts from exactly
+// the state a fresh allocation would, preserving bit-identical execution.
+var (
+	memPoolsMu sync.Mutex
+	memPools   = map[uint64]*sync.Pool{}
+)
+
+// memPool returns the buffer pool for images of size bytes.
+func memPool(size uint64) *sync.Pool {
+	memPoolsMu.Lock()
+	defer memPoolsMu.Unlock()
+	p, ok := memPools[size]
+	if !ok {
+		p = &sync.Pool{New: func() any {
+			b := make([]byte, size)
+			return &b
+		}}
+		memPools[size] = p
+	}
+	return p
 }
 
-// Release returns the image's memory buffer to the loader's pool and
-// detaches it from the image. Call it only when the run is complete and
-// nothing retains img.Mem; non-default buffer sizes are simply dropped.
+// Release returns the image's memory buffer to the loader's pool for its
+// size and detaches it from the image. Call it only when the run is
+// complete and nothing retains img.Mem.
 func (img *Image) Release() {
 	mem := img.Mem
 	img.Mem = nil
-	if uint64(len(mem)) != DefaultMemSize {
+	if mem == nil {
 		return
 	}
 	clear(mem)
-	memPool.Put(&mem)
+	memPool(uint64(len(mem))).Put(&mem)
 }
 
 // InitialSP computes the initial stack pointer Load would hand the machine
@@ -250,12 +265,7 @@ func Load(exe *linker.Executable, opts Options) (*Image, error) {
 			ErrStackOverflow, need, avail, stackTop)
 	}
 
-	var mem []byte
-	if memSize == DefaultMemSize {
-		mem = *memPool.Get().(*[]byte)
-	} else {
-		mem = make([]byte, memSize)
-	}
+	mem := *memPool(memSize).Get().(*[]byte)
 	copy(mem[exe.TextBase:], exe.Text)
 	copy(mem[exe.DataBase:], exe.Data)
 	// BSS is already zero.

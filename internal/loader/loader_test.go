@@ -8,7 +8,7 @@ import (
 	"biaslab/internal/linker"
 )
 
-func buildExe(t *testing.T) *linker.Executable {
+func buildExe(t testing.TB) *linker.Executable {
 	t.Helper()
 	objs, _, err := compiler.Compile([]compiler.Source{
 		{Name: "m.cm", Text: `int g = 5; void main() { checksum(g); }`},
@@ -193,36 +193,110 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// coRunnerGeometry is a non-default image size: the 32 MiB geometry a
+// co-runner is loaded into.
+var coRunnerGeometry = Options{MemSize: 32 << 20, StackTop: 32<<20 - 64}
+
 // TestReleaseRecyclesZeroedBuffer locks in the pooled-buffer contract: a
 // Load that reuses a released buffer must observe exactly the state a fresh
 // allocation would — any residue from the prior run would break the repo's
-// bit-identical determinism.
+// bit-identical determinism. It holds for every geometry, not only the
+// default one.
 func TestReleaseRecyclesZeroedBuffer(t *testing.T) {
 	exe := buildExe(t)
-	opts := Options{Env: []string{"A=1"}, Args: []string{"x"}}
-	img, err := Load(exe, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pristine := append([]byte(nil), img.Mem...)
-	// Scribble all over the address space, as a run's stores would.
-	for i := 0; i < len(img.Mem); i += 4097 {
-		img.Mem[i] ^= 0xa5
-	}
-	img.Release()
-	if img.Mem != nil {
-		t.Fatal("Release must detach the buffer")
-	}
-	again, err := Load(exe, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Mem) != len(pristine) {
-		t.Fatalf("reloaded image size %d != %d", len(again.Mem), len(pristine))
-	}
-	for i := range pristine {
-		if again.Mem[i] != pristine[i] {
-			t.Fatalf("byte %#x differs after buffer recycling: %#x vs %#x", i, again.Mem[i], pristine[i])
+	for _, geom := range []Options{{}, coRunnerGeometry} {
+		opts := geom
+		opts.Env = []string{"A=1"}
+		opts.Args = []string{"x"}
+		img, err := Load(exe, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		pristine := append([]byte(nil), img.Mem...)
+		// Scribble all over the address space, as a run's stores would.
+		for i := 0; i < len(img.Mem); i += 4097 {
+			img.Mem[i] ^= 0xa5
+		}
+		img.Release()
+		if img.Mem != nil {
+			t.Fatal("Release must detach the buffer")
+		}
+		again, err := Load(exe, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again.Mem) != len(pristine) {
+			t.Fatalf("reloaded image size %d != %d", len(again.Mem), len(pristine))
+		}
+		for i := range pristine {
+			if again.Mem[i] != pristine[i] {
+				t.Fatalf("mem size %d: byte %#x differs after buffer recycling: %#x vs %#x",
+					len(pristine), i, again.Mem[i], pristine[i])
+			}
+		}
+		again.Release()
+	}
+}
+
+// TestPoolKeepsSizesApart: a released buffer only ever comes back to a
+// Load of its own size. A default Load after releasing only co-runner
+// buffers (and the reverse) must still get a buffer of the size it asked
+// for.
+func TestPoolKeepsSizesApart(t *testing.T) {
+	exe := buildExe(t)
+	geoms := []Options{{}, coRunnerGeometry}
+	for _, released := range geoms {
+		for i := 0; i < 4; i++ {
+			img, err := Load(exe, released)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img.Release()
+		}
+		for _, want := range geoms {
+			img, err := Load(exe, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSize := want.MemSize
+			if wantSize == 0 {
+				wantSize = DefaultMemSize
+			}
+			if got := uint64(len(img.Mem)); got != wantSize {
+				t.Errorf("Load of a %d-byte image got a %d-byte buffer", wantSize, got)
+			}
+			img.Release()
+		}
+	}
+}
+
+// BenchmarkLoad measures one load followed by its release, for the solo
+// and the co-runner geometry. Once the pool is warm the buffer is
+// recycled, so -benchmem shows only the small stack-layout allocations.
+func BenchmarkLoad(b *testing.B) {
+	exe := buildExe(b)
+	for _, bc := range []struct {
+		name string
+		opts Options
+	}{{"default", Options{}}, {"32MiB", coRunnerGeometry}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := bc.opts
+			opts.Env = SyntheticEnv(4096)
+			opts.Args = []string{"bench"}
+			warm, err := Load(exe, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			warm.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				img, err := Load(exe, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				img.Release()
+			}
+		})
 	}
 }

@@ -83,13 +83,21 @@ const cancelPollInstrs = 1 << 16
 // on sets and ways without aliasing each other's data — the model of two
 // hardware threads with physically-tagged caches.
 func CoRun(ctx context.Context, cfg machine.Config, subject, corunner *loader.Image, quantum, maxInstr uint64) (*machine.Result, *machine.Result, error) {
+	return CoRunOn(ctx, machine.New(cfg), subject, corunner, quantum, maxInstr)
+}
+
+// CoRunOn is CoRun on a caller-supplied prime machine, typically one taken
+// from a pool: the subject runs on prime and the co-runner on a twin that
+// shares prime's hierarchy. Both tenants fully reset the shared model
+// before either executes, so a reused prime measures exactly what a fresh
+// one would.
+func CoRunOn(ctx context.Context, prime *machine.Machine, subject, corunner *loader.Image, quantum, maxInstr uint64) (*machine.Result, *machine.Result, error) {
 	if quantum == 0 {
 		quantum = DefaultQuantum
 	}
 	if maxInstr == 0 {
 		maxInstr = machine.DefaultMaxInstructions
 	}
-	prime := machine.New(cfg)
 	ms := [2]*machine.Machine{prime, prime.NewSharedModel()}
 	imgs := [2]*loader.Image{subject, corunner}
 	for k, m := range ms {

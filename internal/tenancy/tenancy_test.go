@@ -175,3 +175,29 @@ func TestCoRunCancellation(t *testing.T) {
 		t.Errorf("cancelled co-run returned %v, want context.Canceled", err)
 	}
 }
+
+// TestCoRunOnReusedPrime: a prime machine that already ran a solo program
+// and a co-run, as a pooled machine has, co-runs bit-identically to the
+// fresh machine CoRun builds.
+func TestCoRunOnReusedPrime(t *testing.T) {
+	cfg := corunCfg(t)
+	want, wantCo, err := tenancy.CoRun(context.Background(),
+		cfg, loadSubject(t, "hmmer"), loadCoRunner(t, "milc"), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prime := machine.New(cfg)
+	if _, err := prime.Run(loadSubject(t, "mcf"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, gotCo, err := tenancy.CoRunOn(context.Background(),
+			prime, loadSubject(t, "hmmer"), loadCoRunner(t, "milc"), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotCo, wantCo) {
+			t.Errorf("co-run %d on a reused prime differs from a fresh one:\n%+v\nvs\n%+v", i, got, want)
+		}
+	}
+}

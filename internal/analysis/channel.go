@@ -71,16 +71,20 @@ type ChannelLayout struct {
 	Foot *StackFootprint
 }
 
-// NewChannelLayout runs the dataflow engine and footprint extractor over one
-// linked layout. prog may be nil (see ExtractStackFootprint).
+// NewChannelLayout runs the dataflow engine once over one linked layout and
+// derives the stack footprint from that same analysis, so a layout costs one
+// dataflow pass. The result equals ExtractStackFootprint and
+// dataflow.Analyze run separately: a failed analysis leaves Info nil and the
+// footprint on the fallback scan. prog may be nil (see
+// ExtractStackFootprint).
 func NewChannelLayout(value uint64, exe *linker.Executable, prog *ir.Program) (*ChannelLayout, error) {
-	foot, err := ExtractStackFootprint(exe, prog)
-	if err != nil {
-		return nil, err
-	}
 	info, err := dataflow.Analyze(exe)
 	if err != nil {
 		info = nil
+	}
+	foot, err := stackFootprint(exe, prog, info)
+	if err != nil {
+		return nil, err
 	}
 	return &ChannelLayout{Value: value, Exe: exe, Info: info, Foot: foot}, nil
 }

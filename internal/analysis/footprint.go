@@ -61,6 +61,19 @@ type funcFrame struct {
 // the fallback path (the one case the text does not spell out the extent);
 // nil degrades to a conservative estimate and an Approx flag.
 func ExtractStackFootprint(exe *linker.Executable, prog *ir.Program) (*StackFootprint, error) {
+	df, err := dataflow.Analyze(exe)
+	if err != nil {
+		df = nil
+	}
+	return stackFootprint(exe, prog, df)
+}
+
+// stackFootprint is ExtractStackFootprint over an analysis already in hand.
+// The dataflow engine is strictly an upgrade: any function it proves exact
+// uses its intervals, resolved calls, and recursion bounds; any it cannot,
+// and the whole program when df is nil (the engine errored out), keep the
+// scan results.
+func stackFootprint(exe *linker.Executable, prog *ir.Program, df *dataflow.Info) (*StackFootprint, error) {
 	if len(exe.Funcs) == 0 {
 		return nil, fmt.Errorf("analysis: executable has no function symbols")
 	}
@@ -77,14 +90,6 @@ func ExtractStackFootprint(exe *linker.Executable, prog *ir.Program) (*StackFoot
 	entry := exe.Entry
 	if _, ok := frames[entry]; !ok {
 		return nil, fmt.Errorf("analysis: entry %#x is not a known function", entry)
-	}
-
-	// The dataflow engine is strictly an upgrade: any function it proves
-	// exact uses its intervals, resolved calls, and recursion bounds; any it
-	// cannot, and the whole program if it errors out, keep the scan results.
-	df, dfErr := dataflow.Analyze(exe)
-	if dfErr != nil {
-		df = nil
 	}
 
 	fp := &StackFootprint{}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -161,6 +162,33 @@ func TestLayoutGolden(t *testing.T) {
 	for k := range wantMap {
 		if _, ok := got[k]; !ok {
 			t.Errorf("%s: in the golden, not produced", k)
+		}
+	}
+}
+
+// TestNewChannelLayoutMatchesSeparateAnalyses pins the analyze-once
+// contract: the footprint and Info NewChannelLayout derives from its single
+// dataflow pass equal what ExtractStackFootprint and dataflow.Analyze
+// compute on their own, for every benchmark at O2 and O3.
+func TestNewChannelLayoutMatchesSeparateAnalyses(t *testing.T) {
+	for _, c := range engineCorpus(t) {
+		cl, err := analysis.NewChannelLayout(0, c.exe, c.prog)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		foot, err := analysis.ExtractStackFootprint(c.exe, c.prog)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		info, err := dataflow.Analyze(c.exe)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(cl.Foot, foot) {
+			t.Errorf("%s: NewChannelLayout footprint differs from ExtractStackFootprint", c.name)
+		}
+		if !reflect.DeepEqual(cl.Info, info) {
+			t.Errorf("%s: NewChannelLayout Info differs from dataflow.Analyze", c.name)
 		}
 	}
 }

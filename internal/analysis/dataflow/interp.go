@@ -426,7 +426,8 @@ func interpFunc(exe *linker.Executable, fi *FuncInfo, gs *globalStores, optimist
 					ins[s] = map[int]*state{}
 				}
 				if cur := ins[s][b]; cur == nil {
-					ins[s][b] = o.st.clone()
+					// Every edgeOut state is a fresh copy no one else holds.
+					ins[s][b] = o.st
 				} else {
 					if joins[s] == nil {
 						joins[s] = map[int]int{}

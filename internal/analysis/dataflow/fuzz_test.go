@@ -1,6 +1,7 @@
 package dataflow_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -33,7 +34,9 @@ func fuzzSeedText(f *testing.F, src string) ([]byte, []byte) {
 // inside the text segment), Analyze must either return an Info or an error
 // value — whatever bytes the functions contain. Returned results must also
 // satisfy the engine's own postconditions: Touched intervals sorted and
-// disjoint, every function classified into an SCC.
+// disjoint, every function classified into an SCC. A second Analyze of the
+// same executable must give a deeply equal result, so nothing the engine
+// reports depends on iteration order.
 func FuzzAnalyze(f *testing.F) {
 	// Structured seeds: real compiler output, including recursion (the
 	// bounder's hard case) and deliberately hostile control flow.
@@ -117,6 +120,13 @@ func FuzzAnalyze(f *testing.F) {
 		info, err := dataflow.Analyze(exe)
 		if d := time.Since(t0); d > 2*time.Second {
 			t.Fatalf("slow input: Analyze took %v", d)
+		}
+		again, errAgain := dataflow.Analyze(exe)
+		if (err == nil) != (errAgain == nil) || (err != nil && err.Error() != errAgain.Error()) {
+			t.Fatalf("second Analyze returned error %v, first %v", errAgain, err)
+		}
+		if !reflect.DeepEqual(info, again) {
+			t.Fatal("second Analyze of the same executable differs from the first")
 		}
 		if err != nil {
 			return

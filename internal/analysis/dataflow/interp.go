@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"biaslab/internal/isa"
@@ -141,16 +143,27 @@ type pcon struct {
 
 type state struct {
 	regs  [isa.NumRegs]cell
-	slots map[int64]cell
+	slots slotSet
 	pcons [numArgRegs]pcon
 }
 
+// slot is the cell stored at one entry-relative frame offset.
+type slot struct {
+	off int64
+	c   cell
+}
+
+// slotSet holds a state's frame slots sorted by offset, so cloning a state
+// copies them with one allocation.
+type slotSet []slot
+
+// find returns the index of off, or where it would be inserted.
+func (ss slotSet) find(off int64) (int, bool) {
+	return slices.BinarySearchFunc(ss, off, func(s slot, off int64) int { return cmp.Compare(s.off, off) })
+}
+
 func (st *state) clone() *state {
-	ns := &state{regs: st.regs, pcons: st.pcons}
-	ns.slots = make(map[int64]cell, len(st.slots))
-	for k, v := range st.slots {
-		ns.slots[k] = v
-	}
+	ns := &state{regs: st.regs, slots: slices.Clone(st.slots), pcons: st.pcons}
 	for i := range ns.pcons {
 		ns.pcons[i].ne = append([]int64(nil), st.pcons[i].ne...)
 	}
@@ -243,24 +256,31 @@ func (ip *interp) joinInto(dst, src *state, widen bool) bool {
 			}
 		}
 	}
-	for off, dc := range dst.slots {
-		sc, ok := src.slots[off]
-		if !ok {
-			delete(dst.slots, off)
+	// Both slot sets are sorted: one merge walk keeps the offsets src also
+	// holds, compacting dst in place.
+	kept, j := dst.slots[:0], 0
+	for _, d := range dst.slots {
+		for j < len(src.slots) && src.slots[j].off < d.off {
+			j++
+		}
+		if j == len(src.slots) || src.slots[j].off != d.off {
 			changed = true
 			continue
 		}
+		dc, sc := d.c, src.slots[j].c
 		nv := joinValue(dc.v, sc.v)
 		if widen {
 			nv = widenValue(dc.v, nv)
 		}
 		if !nv.eq(dc.v) {
-			dst.slots[off] = cell{v: nv, gen: ip.nextGen()}
+			d.c = cell{v: nv, gen: ip.nextGen()}
 			changed = true
 		} else if dc.gen != sc.gen {
-			dst.slots[off] = cell{v: nv, gen: ip.nextGen()}
+			d.c = cell{v: nv, gen: ip.nextGen()}
 		}
+		kept = append(kept, d)
 	}
+	dst.slots = kept
 	for i := range dst.pcons {
 		if src.pcons[i].lo < dst.pcons[i].lo {
 			dst.pcons[i].lo = src.pcons[i].lo
@@ -468,7 +488,7 @@ func interpFunc(exe *linker.Executable, fi *FuncInfo, gs *globalStores, optimist
 }
 
 func entryState() *state {
-	st := &state{slots: map[int64]cell{}}
+	st := &state{}
 	for r := range st.regs {
 		st.regs[r] = cell{v: topV()}
 	}
@@ -692,10 +712,10 @@ func (ip *interp) settlePred(st *state, p *pred, truth bool) {
 			st.regs[r] = cell{v: constV(b2i(v.k == kPred && truth)), gen: ip.nextGen()}
 		}
 	}
-	for off, sc := range st.slots {
-		v := sc.v
+	for i := range st.slots {
+		v := st.slots[i].c.v
 		if (v.k == kPred && v.p == p) || (v.k == kDiff && v.p == p && !truth) {
-			st.slots[off] = cell{v: constV(b2i(v.k == kPred && truth)), gen: ip.nextGen()}
+			st.slots[i].c = cell{v: constV(b2i(v.k == kPred && truth)), gen: ip.nextGen()}
 		}
 	}
 }
@@ -849,8 +869,8 @@ func (ip *interp) applyRange(st *state, op operand, lo, hi int64) {
 				st.regs[l.reg] = cell{v: nv, gen: ip.nextGen(), src: st.regs[l.reg].src}
 			}
 		case locSlot:
-			if c, ok := st.slots[l.off]; ok && c.gen == l.gen {
-				st.slots[l.off] = cell{v: nv, gen: ip.nextGen()}
+			if i, ok := st.slots.find(l.off); ok && st.slots[i].c.gen == l.gen {
+				st.slots[i].c = cell{v: nv, gen: ip.nextGen()}
 			}
 		}
 	}
@@ -1184,7 +1204,8 @@ func (ip *interp) load(st *state, in isa.Inst, base cell) {
 	case kSP:
 		ip.touchSP(st, addr, size)
 		if addr.lo == addr.hi && size == 8 {
-			if c, ok := st.slots[addr.lo]; ok {
+			if i, ok := st.slots.find(addr.lo); ok {
+				c := st.slots[i].c
 				ip.writeFrom(st, in.Rd, c.v, loc{kind: locSlot, off: addr.lo, gen: c.gen})
 				return
 			}
@@ -1256,16 +1277,17 @@ func (ip *interp) store(st *state, in isa.Inst, base, val cell) {
 	case kSP:
 		ip.touchSP(st, addr, size)
 		if addr.lo == addr.hi && size == 8 {
-			st.slots[addr.lo] = cell{v: val.v, gen: ip.nextGen()}
+			c := cell{v: val.v, gen: ip.nextGen()}
+			if i, ok := st.slots.find(addr.lo); ok {
+				st.slots[i].c = c
+			} else {
+				st.slots = slices.Insert(st.slots, i, slot{off: addr.lo, c: c})
+			}
 			return
 		}
 		// Imprecise or narrow store: weak update, invalidate overlap.
 		lo, hi := addr.lo, satAdd(addr.hi, size)
-		for off := range st.slots {
-			if off+8 > lo && off < hi {
-				delete(st.slots, off)
-			}
-		}
+		st.slots = slices.DeleteFunc(st.slots, func(s slot) bool { return s.off+8 > lo && s.off < hi })
 		ip.storeEscape(val.v, "frame pointer stored with imprecise address")
 	case kParam:
 		ip.touchParam(addr, size)
@@ -1404,11 +1426,8 @@ func (ip *interp) clobberCall(st *state) {
 		st.regs[r] = cell{v: topV(), gen: ip.nextGen()}
 	}
 	for _, off := range spArgs {
-		for so := range st.slots {
-			if so >= off {
-				delete(st.slots, so)
-			}
-		}
+		i, _ := st.slots.find(off) // slots are sorted: drop the suffix at or above off
+		st.slots = st.slots[:i]
 	}
 }
 

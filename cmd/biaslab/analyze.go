@@ -196,26 +196,25 @@ func (a *app) cmdPredict(args []string) error {
 	}
 
 	if *channel != "env" {
-		// Code channels: link the executable at every grid value, run the
-		// dataflow engine over each, and print the comparator's pairwise
-		// verdicts for the compiled level.
+		// Code channels: link the executable at every grid value, analyze
+		// the family (one dataflow pass, relocated to the other layouts),
+		// and print the comparator's pairwise verdicts for the compiled
+		// level.
 		values := core.DefaultPadSizes()
 		linkOpts := func(v uint64) linker.Options { return linker.Options{PadObjects: v} }
 		if *channel == "base" {
 			values = core.DefaultTextBases()
 			linkOpts = func(v uint64) linker.Options { return linker.Options{TextBase: v} }
 		}
-		layouts := make([]*analysis.ChannelLayout, 0, len(values))
-		for _, v := range values {
-			exe, err := linker.Link(objs, linkOpts(v))
-			if err != nil {
+		exes := make([]*linker.Executable, len(values))
+		for i, v := range values {
+			if exes[i], err = linker.Link(objs, linkOpts(v)); err != nil {
 				return err
 			}
-			cl, err := analysis.NewChannelLayout(v, exe, prog)
-			if err != nil {
-				return err
-			}
-			layouts = append(layouts, cl)
+		}
+		layouts, err := analysis.NewChannelLayouts(values, exes, prog)
+		if err != nil {
+			return err
 		}
 		sp := loader.InitialSP(loader.Options{
 			Env:  loader.SyntheticEnv(core.DefaultEnvBytes),

@@ -6,6 +6,7 @@ import (
 	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
 	"biaslab/internal/compiler"
+	"biaslab/internal/core"
 	"biaslab/internal/linker"
 )
 
@@ -29,6 +30,35 @@ func BenchmarkNewChannelLayout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := analysis.NewChannelLayout(0, exe, prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewChannelLayouts measures one pad family (gobmk at size small,
+// O2, the 87 values of the default pad grid): one dataflow pass relocated
+// to the other 86 layouts, plus every layout's footprint. Linking is
+// outside the timed loop.
+func BenchmarkNewChannelLayouts(b *testing.B) {
+	gobmk, ok := bench.ByName("gobmk")
+	if !ok {
+		b.Fatal("gobmk not registered")
+	}
+	objs, prog, err := compiler.Compile(gobmk.Sources(bench.SizeSmall), compiler.Config{Level: compiler.O2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	values := core.DefaultPadSizes()
+	exes := make([]*linker.Executable, len(values))
+	for i, v := range values {
+		if exes[i], err = linker.Link(objs, linker.Options{PadObjects: v}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analysis.NewChannelLayouts(values, exes, prog); err != nil {
 			b.Fatal(err)
 		}
 	}

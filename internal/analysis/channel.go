@@ -78,15 +78,47 @@ type ChannelLayout struct {
 // footprint on the fallback scan. prog may be nil (see
 // ExtractStackFootprint).
 func NewChannelLayout(value uint64, exe *linker.Executable, prog *ir.Program) (*ChannelLayout, error) {
-	info, err := dataflow.Analyze(exe)
-	if err != nil {
-		info = nil
-	}
-	foot, err := stackFootprint(exe, prog, info)
+	ls, err := NewChannelLayouts([]uint64{value}, []*linker.Executable{exe}, prog)
 	if err != nil {
 		return nil, err
 	}
-	return &ChannelLayout{Value: value, Exe: exe, Info: info, Foot: foot}, nil
+	return ls[0], nil
+}
+
+// NewChannelLayouts builds the layouts of one pad or base family: exes[i]
+// is the program linked at values[i], every exe a relink of the same
+// objects. The dataflow engine runs once, over exes[0]; every other
+// layout's Info is that result relocated (dataflow.Relocate), and a layout
+// Relocate refuses gets its own analysis. Each footprint is derived from
+// its layout's Info as in NewChannelLayout, so the result equals calling
+// NewChannelLayout on every layout.
+func NewChannelLayouts(values []uint64, exes []*linker.Executable, prog *ir.Program) ([]*ChannelLayout, error) {
+	if len(values) != len(exes) {
+		return nil, fmt.Errorf("analysis: %d values for %d layouts", len(values), len(exes))
+	}
+	layouts := make([]*ChannelLayout, len(exes))
+	var first *dataflow.Info
+	for i, exe := range exes {
+		var info *dataflow.Info
+		if i > 0 && first != nil {
+			info, _ = dataflow.Relocate(first, exes[0], exe)
+		}
+		if info == nil {
+			var err error
+			if info, err = dataflow.Analyze(exe); err != nil {
+				info = nil
+			}
+		}
+		if i == 0 {
+			first = info
+		}
+		foot, err := stackFootprint(exe, prog, info)
+		if err != nil {
+			return nil, err
+		}
+		layouts[i] = &ChannelLayout{Value: values[i], Exe: exe, Info: info, Foot: foot}
+	}
+	return layouts, nil
 }
 
 // Verdict is the comparator's three-valued answer for a pair of layouts.
@@ -131,14 +163,19 @@ type ChannelConflictMap struct {
 	ApproxReasons []string
 }
 
-// Pair returns the verdict for grid points i < j, or nil.
+// Pair returns the verdict for grid points i < j, or nil. Pairs holds the
+// pairs in row-major (i, j) order, so row i starts after the
+// (n-1) + (n-2) + … + (n-i) pairs of the rows before it.
 func (cm *ChannelConflictMap) Pair(i, j int) *ChannelPair {
-	for k := range cm.Pairs {
-		if cm.Pairs[k].I == i && cm.Pairs[k].J == j {
-			return &cm.Pairs[k]
-		}
+	n := len(cm.Values)
+	if i < 0 || i >= j || j >= n {
+		return nil
 	}
-	return nil
+	k := i*(2*n-i-1)/2 + (j - i - 1)
+	if k >= len(cm.Pairs) || cm.Pairs[k].I != i || cm.Pairs[k].J != j {
+		return nil
+	}
+	return &cm.Pairs[k]
 }
 
 // BuildChannelConflictMap compares every pair of layouts under cfg. sp is the

@@ -155,3 +155,44 @@ func TestChannelPlanBoundaries(t *testing.T) {
 		last = bi
 	}
 }
+
+// TestChannelConflictMapPair: the closed-form Pair lookup finds exactly
+// the pair a linear scan of Pairs finds, for every i < j, and nil for any
+// other index pair.
+func TestChannelConflictMapPair(t *testing.T) {
+	pads := []uint64{0, 4, 8, 16, 64, 4096}
+	objs := jalrTableObjects(t)
+	exes := make([]*linker.Executable, len(pads))
+	for i, pad := range pads {
+		var err error
+		if exes[i], err = linker.Link(objs, linker.Options{PadObjects: pad}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	layouts, err := analysis.NewChannelLayouts(pads, exes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _ := machine.ConfigByName("core2")
+	cm := analysis.BuildChannelConflictMap("fixture", "core2", "pad", cfg, 1<<24, layouts)
+	scan := func(i, j int) *analysis.ChannelPair {
+		for k := range cm.Pairs {
+			if cm.Pairs[k].I == i && cm.Pairs[k].J == j {
+				return &cm.Pairs[k]
+			}
+		}
+		return nil
+	}
+	n := len(pads)
+	for i := -1; i <= n; i++ {
+		for j := -1; j <= n; j++ {
+			got, want := cm.Pair(i, j), scan(i, j)
+			if got != want {
+				t.Errorf("Pair(%d, %d) = %v, linear scan finds %v", i, j, got, want)
+			}
+			if (i >= 0 && i < j && j < n) != (got != nil) {
+				t.Errorf("Pair(%d, %d) = %v", i, j, got)
+			}
+		}
+	}
+}

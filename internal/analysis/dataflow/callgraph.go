@@ -146,11 +146,14 @@ func buildCallGraph(info *Info) {
 // graph to a fixpoint: if f passes its own parameter p (plus delta) as
 // callee argument j, everything the callee touches through argument j is
 // touched through f's parameter p.
-func closeParamTouched(info *Info) {
+func closeParamTouched(info *Info, pv *provenance) {
 	const maxRounds = 32
 	for round := 0; ; round++ {
 		changed := false
-		for _, fi := range info.Funcs {
+		// Address order, not map order: the comparisons shiftMerge records
+		// as slack must not depend on the iteration.
+		for _, addr := range info.Order {
+			fi := info.Funcs[addr]
 			for _, c := range fi.Calls {
 				callee := info.Funcs[c.Target]
 				if callee == nil {
@@ -161,9 +164,10 @@ func closeParamTouched(info *Info) {
 					if a.Kind != ArgParam || len(callee.ParamTouched[j]) == 0 {
 						continue
 					}
-					merged := shiftMerge(fi.ParamTouched[a.Param], callee.ParamTouched[j], a.Delta)
-					if !intervalsEqual(merged, fi.ParamTouched[a.Param]) {
-						fi.ParamTouched[a.Param] = merged
+					merged, tags := pv.shiftMerge(fi.ParamTouched[a.Param], fi.paramTags[a.Param],
+						callee.ParamTouched[j], callee.paramTags[j], a.Delta, c.argTags[j])
+					if !pv.intervalsEqual(merged, tags, fi.ParamTouched[a.Param], fi.paramTags[a.Param]) {
+						fi.ParamTouched[a.Param], fi.paramTags[a.Param] = merged, tags
 						changed = true
 					}
 				}
@@ -180,41 +184,13 @@ func closeParamTouched(info *Info) {
 				for i := range fi.ParamTouched {
 					if len(fi.ParamTouched[i]) > 0 {
 						fi.ParamTouched[i] = []Interval{{Lo: 0, Hi: maxParamSpan}}
+						fi.paramTags[i] = nil
 					}
 				}
 			}
 			return
 		}
 	}
-}
-
-func shiftMerge(dst, src []Interval, delta int64) []Interval {
-	out := append([]Interval(nil), dst...)
-	for _, iv := range src {
-		lo, hi := satAdd(iv.Lo, delta), satAdd(iv.Hi, delta)
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > maxParamSpan {
-			hi = maxParamSpan
-		}
-		if hi > lo {
-			out = append(out, Interval{Lo: lo, Hi: hi})
-		}
-	}
-	return MergeIntervals(out)
-}
-
-func intervalsEqual(a, b []Interval) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // markReachable walks the resolved call graph from the entry point. Any
@@ -312,7 +288,7 @@ const maxProvableFrames = 64
 //
 // Frames = edges + 1. Strong connectivity makes in-SCC frames on any stack
 // contiguous, so the bound is also a simultaneity bound.
-func boundRecursion(info *Info) {
+func boundRecursion(info *Info, pv *provenance) {
 	members := map[int][]uint64{}
 	for addr, id := range info.SCCID {
 		members[id] = append(members[id], addr)
@@ -345,7 +321,7 @@ func boundRecursion(info *Info) {
 		}
 		best := int64(-1)
 		for q := 0; q < numArgRegs; q++ {
-			if b, ok := proveBound(q, internal, entries); ok && (best < 0 || b < best) {
+			if b, ok := proveBound(q, internal, entries, pv); ok && (best < 0 || b < best) {
 				best = b
 			}
 		}
@@ -357,7 +333,17 @@ func boundRecursion(info *Info) {
 
 // proveBound attempts both induction proofs on argument position q,
 // returning the smaller frame bound that holds.
-func proveBound(q int, internal, entries []Call) (int64, bool) {
+func proveBound(q int, internal, entries []Call, pv *provenance) (int64, bool) {
+	// The proof computes with the constants and deltas at position q, so
+	// an address there would make the bound position-dependent. Check
+	// every site up front: the loops below stop early in map order.
+	for _, cs := range [][]Call{internal, entries} {
+		for _, c := range cs {
+			if c.argTags[q] != 0 {
+				pv.mark("address argument reaches the recursion bounder")
+			}
+		}
+	}
 	// Every in-SCC edge must pass the caller's own parameter q, strictly
 	// decremented.
 	d := int64(posInf)  // minimum decrement (for the range proof)

@@ -63,6 +63,12 @@ type Call struct {
 	Indirect bool // resolved jalr rather than jal
 	MustExec bool // the site postdominates the function entry
 	Args     [numArgRegs]Arg
+
+	// targetTag names the region Target addresses, and argTags the
+	// region an ArgConst's Const or an ArgParam's Delta carries, so
+	// Relocate can move them (zero: not an address).
+	targetTag tag
+	argTags   [numArgRegs]tag
 }
 
 // Transfer is one unconditional taken control transfer (jal or jmp), the
@@ -71,6 +77,8 @@ type Transfer struct {
 	PC       uint64
 	Target   uint64
 	MustExec bool
+
+	targetTag tag // the region Target moves with
 }
 
 // Block is one basic block of a function CFG.
@@ -127,6 +135,9 @@ type FuncInfo struct {
 	topAccess bool
 	escapes   []string
 	paramEsc  [numArgRegs]bool
+	// paramTags, when non-nil for a register, gives the region each
+	// ParamTouched interval's offsets address (see relocate.go).
+	paramTags [numArgRegs][]tag
 }
 
 const numArgRegs = 6
@@ -156,6 +167,14 @@ type Info struct {
 	// MustExec marks functions that execute on every complete run: the
 	// entry function plus the closure over must-execute call sites.
 	MustExec map[uint64]bool
+
+	// posDep says why some fact depends on absolute addresses, so Relocate
+	// must refuse this analysis; empty when every fact moves with its
+	// region. slack bounds, per pair of regions, the relative shift under
+	// which every comparison the interpreter made between their addresses
+	// keeps its outcome (see relocate.go).
+	posDep string
+	slack  map[[2]tag][2]int64
 }
 
 // Analyze runs the engine over a linked executable.
@@ -184,16 +203,17 @@ func Analyze(exe *linker.Executable) (*Info, error) {
 	// First interpretation pass: optimistic about loads from initialized
 	// data (needed to see through jalr tables). If any store may alias a
 	// datum such a load read, re-run with data loads degraded to Top.
+	pv := newProvenance(exe)
 	gs := &globalStores{}
 	for _, addr := range info.Order {
-		interpFunc(exe, info.Funcs[addr], gs, true)
+		interpFunc(exe, info.Funcs[addr], gs, pv, true)
 	}
 	if gs.conflicts() {
 		gs2 := &globalStores{}
 		for _, addr := range info.Order {
 			fi := info.Funcs[addr]
 			fi.reset()
-			interpFunc(exe, fi, gs2, false)
+			interpFunc(exe, fi, gs2, pv, false)
 		}
 	}
 
@@ -255,9 +275,10 @@ func Analyze(exe *linker.Executable) (*Info, error) {
 	}
 
 	buildCallGraph(info)
-	closeParamTouched(info)
+	closeParamTouched(info, pv)
 	markReachable(exe, info)
-	boundRecursion(info)
+	boundRecursion(info, pv)
+	info.posDep, info.slack = pv.posDep, pv.slack
 	return info, nil
 }
 
@@ -265,6 +286,7 @@ func Analyze(exe *linker.Executable) (*Info, error) {
 func (fi *FuncInfo) reset() {
 	fi.Touched, fi.Exact, fi.Notes = nil, false, nil
 	fi.ParamTouched = [numArgRegs][]Interval{}
+	fi.paramTags = [numArgRegs][]tag{}
 	fi.Calls, fi.UnresolvedJalr = nil, nil
 	fi.Transfers, fi.CondBranches = nil, nil
 	fi.topAccess, fi.escapes = false, nil

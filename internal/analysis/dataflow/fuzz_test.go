@@ -27,6 +27,17 @@ func fuzzSeedText(f *testing.F, src string) ([]byte, []byte) {
 	return exe.Text, exe.Data
 }
 
+// fuzzSeedSources are small cmini programs covering straight-line code,
+// recursion (the bounder's hard case) and a counted loop.
+var fuzzSeedSources = []string{
+	"void main() { checksum(7); }",
+	`int fact(int n) { if (n <= 1) { return 1; } return n * fact(n - 1); }
+		 void main() { checksum(fact(10)); }`,
+	`int spin(int n) { int i; int s; s = 0;
+		 for (i = 0; i < n; i++) { s = s + i; } return s; }
+		 void main() { checksum(spin(100)); }`,
+}
+
 // FuzzAnalyze drives the CFG builder, abstract interpreter, jalr resolver
 // and recursion bounder with arbitrary machine code. The property under
 // test is freedom from panics and runaway behavior: for any executable that
@@ -40,14 +51,7 @@ func fuzzSeedText(f *testing.F, src string) ([]byte, []byte) {
 func FuzzAnalyze(f *testing.F) {
 	// Structured seeds: real compiler output, including recursion (the
 	// bounder's hard case) and deliberately hostile control flow.
-	for _, src := range []string{
-		"void main() { checksum(7); }",
-		`int fact(int n) { if (n <= 1) { return 1; } return n * fact(n - 1); }
-		 void main() { checksum(fact(10)); }`,
-		`int spin(int n) { int i; int s; s = 0;
-		 for (i = 0; i < n; i++) { s = s + i; } return s; }
-		 void main() { checksum(spin(100)); }`,
-	} {
+	for _, src := range fuzzSeedSources {
 		text, data := fuzzSeedText(f, src)
 		f.Add(text, data, uint16(0))
 	}

@@ -38,11 +38,15 @@ const (
 )
 
 type value struct {
-	k      vkind
-	lo, hi int64 // kRange bounds, kSP offsets, kParam delta (lo==hi)
-	param  int
-	p      *pred
-	set    []uint64 // kSet members, sorted
+	k vkind
+	// tag and htag say which relocated region the lower and upper bound
+	// of a kRange or kParam offset (both: the members of a kSet) address;
+	// see relocate.go. They are metadata: eq and the lattice ignore them.
+	tag, htag tag
+	param     int32 // kept beside the tags so a value stays 64 bytes
+	lo, hi    int64 // kRange bounds, kSP offsets, kParam delta (lo==hi)
+	p         *pred
+	set       []uint64 // kSet members, sorted
 }
 
 func topV() value          { return value{k: kTop} }
@@ -55,6 +59,10 @@ func rangeV(lo, hi int64) value {
 }
 
 func (v value) isConst() bool { return v.k == kRange && v.lo == v.hi }
+
+// numeric reports whether v's abstract value is a set of integers, the
+// only kinds that can carry a tag.
+func (v value) numeric() bool { return v.k == kRange || v.k == kSet || v.k == kPred }
 
 // rng returns the best known integer range of v.
 func (v value) rng() (int64, int64) {
@@ -175,6 +183,7 @@ type interp struct {
 	exe        *linker.Executable
 	fi         *FuncInfo
 	gs         *globalStores
+	pv         *provenance
 	optimistic bool
 	insts      []isa.Inst
 	gen        uint64
@@ -183,6 +192,7 @@ type interp struct {
 	collecting bool
 	touched    []Interval
 	paramTouch [numArgRegs][]Interval
+	paramTags  [numArgRegs][]tag // parallel to paramTouch
 	blockMust  bool
 }
 
@@ -241,7 +251,7 @@ func unionSets(a, b []uint64) []uint64 {
 func (ip *interp) joinInto(dst, src *state, widen bool) bool {
 	changed := false
 	for r := range dst.regs {
-		nv := joinValue(dst.regs[r].v, src.regs[r].v)
+		nv := ip.join(&dst.regs[r].v, &src.regs[r].v)
 		if widen {
 			nv = widenValue(dst.regs[r].v, nv)
 		}
@@ -268,7 +278,7 @@ func (ip *interp) joinInto(dst, src *state, widen bool) bool {
 			continue
 		}
 		dc, sc := d.c, src.slots[j].c
-		nv := joinValue(dc.v, sc.v)
+		nv := ip.join(&dc.v, &sc.v)
 		if widen {
 			nv = widenValue(dc.v, nv)
 		}
@@ -308,7 +318,7 @@ func widenValue(old, nv value) value {
 		if hi > old.hi {
 			hi = posInf
 		}
-		return value{k: nv.k, lo: lo, hi: hi}
+		return value{k: nv.k, lo: lo, hi: hi, tag: nv.tag, htag: nv.htag}
 	}
 	return nv
 }
@@ -384,15 +394,16 @@ func (gs *globalStores) conflicts() bool {
 
 // interpFunc runs the fixpoint plus a final collection pass over one
 // function, filling fi's Touched/Calls/Transfers/... fields.
-func interpFunc(exe *linker.Executable, fi *FuncInfo, gs *globalStores, optimistic bool) {
+func interpFunc(exe *linker.Executable, fi *FuncInfo, gs *globalStores, pv *provenance, optimistic bool) {
 	fi.Exact = true
-	ip := &interp{exe: exe, fi: fi, gs: gs, optimistic: optimistic}
+	ip := &interp{exe: exe, fi: fi, gs: gs, pv: pv, optimistic: optimistic}
 	start := fi.Addr - exe.TextBase
 	n := int(fi.Size) / isa.InstSize
 	ip.insts = make([]isa.Inst, n)
 	for i := 0; i < n; i++ {
 		ip.insts[i] = isa.DecodeBytes(exe.Text[start+uint64(i*isa.InstSize):])
 	}
+	pv.checkSites(fi, ip.insts)
 	if len(fi.Blocks) == 0 || n == 0 {
 		fi.Touched = nil
 		return
@@ -494,7 +505,7 @@ func entryState() *state {
 	}
 	st.regs[isa.SP] = cell{v: value{k: kSP, lo: 0, hi: 0}}
 	for i := 0; i < numArgRegs; i++ {
-		st.regs[isa.A0+isa.Reg(i)] = cell{v: value{k: kParam, param: i}}
+		st.regs[isa.A0+isa.Reg(i)] = cell{v: value{k: kParam, param: int32(i)}}
 		st.pcons[i].lo = negInf
 	}
 	return st
@@ -544,14 +555,14 @@ func (ip *interp) transfer(b *Block, st *state) []edgeOut {
 			case in.Op == isa.OpJmp:
 				if ip.collecting {
 					target := uint64(int64(pc) + int64(isa.InstSize) + int64(in.Imm)*isa.InstSize)
-					fi.Transfers = append(fi.Transfers, Transfer{PC: pc, Target: target, MustExec: b.MustExec})
+					fi.Transfers = append(fi.Transfers, Transfer{PC: pc, Target: target, MustExec: b.MustExec, targetTag: ip.pv.codeTag(fi.Addr)})
 				}
 				return succStates(b, st)
 			case in.Op == isa.OpJalr && in.Rd == isa.R0:
 				if rv := st.read(isa.RV).v; rv.k == kSP {
 					ip.escapeSP(rv, "frame pointer returned to caller")
 				} else if rv.k == kParam {
-					ip.paramEscape(rv.param)
+					ip.paramEscape(int(rv.param))
 				}
 				return nil
 			case in.Op == isa.OpHalt:
@@ -595,9 +606,13 @@ func (ip *interp) branchOuts(b *Block, st *state, in isa.Inst) []edgeOut {
 	}
 	a := st.read(in.Rs1)
 	c := st.read(in.Rs2)
+	dec, ok := evalBranch(in.Op, a.v, c.v)
+	if !ok || !(ip.nullCheck(a.v, c.v) || ip.nullCheck(c.v, a.v)) {
+		ip.compare(a.v, c.v)
+	}
 	// A branch whose outcome is decided statically keeps only the feasible
 	// edge; the other predecessor path contributes no state downstream.
-	if dec, ok := evalBranch(in.Op, a.v, c.v); ok {
+	if ok {
 		if dec {
 			return outs[:1]
 		}
@@ -862,6 +877,7 @@ func (ip *interp) applyRange(st *state, op operand, lo, hi int64) {
 	if nv.k == kTop {
 		return
 	}
+	nv.tag, nv.htag = op.v.tag, op.v.htag
 	for _, l := range op.locs {
 		switch l.kind {
 		case locReg:
@@ -889,18 +905,26 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			if ip.fi.Frame == 0 && in.Imm < 0 && a.v.k == kSP && a.v.lo == 0 && a.v.hi == 0 {
 				ip.fi.Frame = int64(-in.Imm)
 			}
-			ip.write(st, isa.SP, addConst(a.v, int64(in.Imm)))
+			ip.write(st, isa.SP, ip.add(a.v, constV(int64(in.Imm))))
 			return
 		}
-		ip.write(st, in.Rd, addConst(a.v, int64(in.Imm)))
+		ip.write(st, in.Rd, ip.add(a.v, constV(int64(in.Imm))))
 	case isa.OpAdd:
-		ip.write(st, in.Rd, addValues(a.v, b.v))
+		ip.write(st, in.Rd, ip.add(a.v, b.v))
 	case isa.OpSub:
-		ip.write(st, in.Rd, subValues(a.v, b.v))
+		ip.write(st, in.Rd, ip.sub(a.v, b.v))
 	case isa.OpLui:
-		ip.write(st, in.Rd, constV(int64(uint64(uint16(in.Imm))<<16)))
+		v := constV(int64(uint64(uint16(in.Imm)) << 16))
+		if li, ok := ip.pv.text[pc]; ok {
+			v = v.withTag(hiTag | tag(li))
+		}
+		ip.write(st, in.Rd, v)
 	case isa.OpOri:
 		imm := int64(uint16(in.Imm))
+		if v, ok := ip.lo16(a.v, imm, pc); ok {
+			ip.write(st, in.Rd, v)
+			return
+		}
 		if a.v.isConst() {
 			ip.write(st, in.Rd, constV(a.v.lo|imm))
 		} else if lo, hi := a.v.rng(); lo >= 0 && imm >= 0 && hi != posInf {
@@ -909,6 +933,7 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, topV())
 		}
 	case isa.OpAndi:
+		ip.opaque(a.v, "andi")
 		imm := int64(uint16(in.Imm))
 		if a.v.isConst() {
 			ip.write(st, in.Rd, constV(a.v.lo&imm))
@@ -916,6 +941,7 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, rangeV(0, imm))
 		}
 	case isa.OpXori:
+		ip.opaque(a.v, "xori")
 		imm := int64(uint16(in.Imm))
 		switch {
 		case a.v.k == kPred && imm == 1:
@@ -929,12 +955,17 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 		}
 	case isa.OpXor:
 		if a.v.isConst() && b.v.isConst() {
+			ip.opaque(a.v, "xor")
+			ip.opaque(b.v, "xor")
 			ip.write(st, in.Rd, constV(a.v.lo^b.v.lo))
 		} else {
+			ip.compare(a.v, b.v)
 			p := &pred{rel: rNe, a: operandFor(st, in.Rs1, a), b: operandFor(st, in.Rs2, b)}
 			ip.write(st, in.Rd, value{k: kDiff, p: p})
 		}
 	case isa.OpAnd, isa.OpOr:
+		ip.opaque(a.v, "and/or")
+		ip.opaque(b.v, "and/or")
 		if a.v.isConst() && b.v.isConst() {
 			if in.Op == isa.OpAnd {
 				ip.write(st, in.Rd, constV(a.v.lo&b.v.lo))
@@ -945,6 +976,7 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, topV())
 		}
 	case isa.OpSlt, isa.OpSltu:
+		ip.compare(a.v, b.v)
 		switch {
 		case in.Op == isa.OpSltu && in.Rs1 == isa.R0 && b.v.k == kDiff:
 			// sltu d, r0, (a^b) — the Ne lowering.
@@ -964,6 +996,7 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, value{k: kPred, p: p})
 		}
 	case isa.OpSlti, isa.OpSltiu:
+		ip.compare(a.v, value{})
 		imm := int64(in.Imm)
 		if in.Op == isa.OpSltiu {
 			imm = int64(uint16(in.Imm))
@@ -989,6 +1022,7 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, value{k: kPred, p: p})
 		}
 	case isa.OpSlli:
+		ip.opaque(a.v, "shift")
 		sh := uint(in.Imm) & 63
 		lo, hi := a.v.rng()
 		if a.v.isConst() {
@@ -999,6 +1033,7 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, topV())
 		}
 	case isa.OpSrli:
+		ip.opaque(a.v, "shift")
 		if a.v.isConst() {
 			ip.write(st, in.Rd, constV(int64(uint64(a.v.lo)>>(uint(in.Imm)&63))))
 		} else if lo, hi := a.v.rng(); a.v.k == kRange && lo >= 0 {
@@ -1008,6 +1043,7 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, topV())
 		}
 	case isa.OpSrai:
+		ip.opaque(a.v, "shift")
 		if a.v.isConst() {
 			ip.write(st, in.Rd, constV(a.v.lo>>(uint(in.Imm)&63)))
 		} else if a.v.k == kRange {
@@ -1017,6 +1053,8 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, topV())
 		}
 	case isa.OpSll, isa.OpSrl, isa.OpSra:
+		ip.opaque(a.v, "shift")
+		ip.opaque(b.v, "shift")
 		if a.v.isConst() && b.v.isConst() {
 			sh := uint(b.v.lo) & 63
 			switch in.Op {
@@ -1031,10 +1069,15 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, topV())
 		}
 	case isa.OpMul:
+		ip.opaque(a.v, "multiply")
+		ip.opaque(b.v, "multiply")
 		ip.write(st, in.Rd, mulValues(a.v, b.v))
 	case isa.OpMuli:
+		ip.opaque(a.v, "multiply")
 		ip.write(st, in.Rd, mulValues(a.v, constV(int64(in.Imm))))
 	case isa.OpDiv, isa.OpRem:
+		ip.opaque(a.v, "divide")
+		ip.opaque(b.v, "divide")
 		if a.v.isConst() && b.v.isConst() && b.v.lo != 0 {
 			if in.Op == isa.OpDiv {
 				ip.write(st, in.Rd, constV(a.v.lo/b.v.lo))
@@ -1045,7 +1088,8 @@ func (ip *interp) step(st *state, in isa.Inst, pc uint64) {
 			ip.write(st, in.Rd, topV())
 		}
 	case isa.OpJal:
-		ip.call(st, pc, uint64(in.Imm)*uint64(isa.InstSize), false)
+		target := uint64(in.Imm) * uint64(isa.InstSize)
+		ip.call(st, pc, target, false, ip.jalTag(pc, target))
 	case isa.OpJalr:
 		if in.Rd != isa.R0 {
 			ip.indirectCall(st, pc, a)
@@ -1075,10 +1119,6 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-func addConst(v value, k int64) value {
-	return addValues(v, constV(k))
 }
 
 func addValues(a, b value) value {
@@ -1185,7 +1225,12 @@ const (
 	segData            // initialized data or bss
 )
 
-func (ip *interp) segOf(lo, hi int64) segKind {
+// segOf classifies a load or store address. Data and bss move together
+// between relinks, so an address into either keeps its classification; an
+// absolute address or one into text may not.
+func (ip *interp) segOf(addr value) segKind {
+	ip.dataAddress(addr)
+	lo := addr.lo
 	dbase := int64(ip.exe.DataBase)
 	dend := int64(ip.exe.BSSBase + ip.exe.BSSSize)
 	if lo >= dbase && lo < dend {
@@ -1199,7 +1244,7 @@ func (ip *interp) segOf(lo, hi int64) segKind {
 // load interprets one load instruction.
 func (ip *interp) load(st *state, in isa.Inst, base cell) {
 	size := int64(in.Op.MemBytes())
-	addr := addConst(base.v, int64(in.Imm))
+	addr := ip.add(base.v, constV(int64(in.Imm)))
 	switch addr.k {
 	case kSP:
 		ip.touchSP(st, addr, size)
@@ -1215,7 +1260,7 @@ func (ip *interp) load(st *state, in isa.Inst, base cell) {
 		ip.touchParam(addr, size)
 		ip.write(st, in.Rd, topV())
 	case kRange:
-		if ip.segOf(addr.lo, addr.hi) == segData {
+		if ip.segOf(addr) == segData {
 			ip.write(st, in.Rd, ip.dataLoad(addr, size))
 			return
 		}
@@ -1242,6 +1287,7 @@ func (ip *interp) dataLoad(addr value, size int64) value {
 		return topV()
 	}
 	var words []uint64
+	var wt tag
 	for a := lo; a <= hi; a += 8 {
 		off := a - dbase
 		var w uint64
@@ -1251,6 +1297,11 @@ func (ip *interp) dataLoad(addr value, size int64) value {
 		words = append(words, w)
 		if len(words) > maxSetSize {
 			return topV()
+		}
+		if t := ip.pv.dataWordTag(uint64(a)); a == lo {
+			wt = t
+		} else if t != wt {
+			ip.pv.mark("data load mixes addresses of different regions")
 		}
 	}
 	if ip.collecting {
@@ -1264,15 +1315,15 @@ func (ip *interp) dataLoad(addr value, size int64) value {
 		}
 	}
 	if len(dedup) == 1 {
-		return constV(int64(dedup[0]))
+		return constV(int64(dedup[0])).withTag(wt)
 	}
-	return value{k: kSet, set: dedup}
+	return value{k: kSet, set: dedup}.withTag(wt)
 }
 
 // store interprets one store instruction.
 func (ip *interp) store(st *state, in isa.Inst, base, val cell) {
 	size := int64(in.Op.MemBytes())
-	addr := addConst(base.v, int64(in.Imm))
+	addr := ip.add(base.v, constV(int64(in.Imm)))
 	switch addr.k {
 	case kSP:
 		ip.touchSP(st, addr, size)
@@ -1293,7 +1344,7 @@ func (ip *interp) store(st *state, in isa.Inst, base, val cell) {
 		ip.touchParam(addr, size)
 		ip.storeEscape(val.v, "frame pointer stored through pointer argument")
 	case kRange:
-		if ip.segOf(addr.lo, addr.hi) == segData {
+		if ip.segOf(addr) == segData {
 			if ip.collecting {
 				hi := addr.hi
 				if hi == posInf {
@@ -1325,7 +1376,7 @@ func (ip *interp) storeEscape(v value, why string) {
 	case kSP:
 		ip.escapeSP(v, why)
 	case kParam:
-		ip.paramEscape(v.param)
+		ip.paramEscape(int(v.param))
 	}
 }
 
@@ -1351,6 +1402,11 @@ func (ip *interp) touchParam(addr value, size int64) {
 	}
 	hi := satAdd(addr.hi, size)
 	ip.paramTouch[addr.param] = append(ip.paramTouch[addr.param], Interval{Lo: addr.lo, Hi: hi})
+	t, ok := addr.uniform()
+	if !ok {
+		ip.pv.mark("pointer argument indexed by addresses of two regions")
+	}
+	ip.paramTags[addr.param] = append(ip.paramTags[addr.param], t)
 }
 
 // topAccess marks a memory access through an untyped pointer. It only
@@ -1378,18 +1434,31 @@ func (ip *interp) escapeSP(v value, why string) {
 const escapeMarker = "\x00sp-escape:"
 
 // call interprets a (direct or resolved-target) call site.
-func (ip *interp) call(st *state, pc, target uint64, indirect bool) {
+func (ip *interp) call(st *state, pc, target uint64, indirect bool, tt tag) {
 	if ip.collecting {
-		c := Call{PC: pc, Target: target, Indirect: indirect, MustExec: ip.blockMust}
-		for i := 0; i < numArgRegs; i++ {
-			c.Args[i] = ip.argOf(st, st.read(isa.A0+isa.Reg(i)).v)
-		}
+		c := Call{PC: pc, Target: target, Indirect: indirect, MustExec: ip.blockMust, targetTag: tt}
+		ip.args(st, &c)
 		ip.fi.Calls = append(ip.fi.Calls, c)
 		if !indirect {
-			ip.fi.Transfers = append(ip.fi.Transfers, Transfer{PC: pc, Target: target, MustExec: ip.blockMust})
+			ip.fi.Transfers = append(ip.fi.Transfers, Transfer{PC: pc, Target: target, MustExec: ip.blockMust, targetTag: tt})
 		}
 	}
 	ip.clobberCall(st)
+}
+
+// args records a call site's abstract arguments and the regions of the
+// addresses among them.
+func (ip *interp) args(st *state, c *Call) {
+	for i := 0; i < numArgRegs; i++ {
+		v := st.read(isa.A0 + isa.Reg(i)).v
+		c.Args[i] = ip.argOf(st, v)
+		if k := c.Args[i].Kind; k == ArgConst || k == ArgParam {
+			if t, ok := v.uniform(); !ok || t&hiTag != 0 {
+				ip.pv.mark("address of two regions or upper address half passed to a callee")
+			}
+			c.argTags[i] = v.tag
+		}
+	}
 }
 
 func (ip *interp) argOf(st *state, v value) Arg {
@@ -1399,7 +1468,7 @@ func (ip *interp) argOf(st *state, v value) Arg {
 	case v.k == kParam && v.lo == v.hi:
 		pc := st.pcons[v.param]
 		return Arg{
-			Kind: ArgParam, Param: v.param, Delta: v.lo,
+			Kind: ArgParam, Param: int(v.param), Delta: v.lo,
 			ParamLo: pc.lo, ParamNe: append([]int64(nil), pc.ne...),
 		}
 	case v.k == kSP && v.lo == v.hi:
@@ -1441,14 +1510,13 @@ var callerSaved = []isa.Reg{
 func (ip *interp) indirectCall(st *state, pc uint64, t cell) {
 	switch {
 	case t.v.isConst():
-		ip.call(st, pc, uint64(t.v.lo), true)
+		ip.call(st, pc, uint64(t.v.lo), true, ip.codeTarget(t.v))
 		return
 	case t.v.k == kSet:
+		tt := ip.codeTarget(t.v)
 		if ip.collecting {
-			c := Call{PC: pc, Indirect: true, MustExec: ip.blockMust}
-			for i := 0; i < numArgRegs; i++ {
-				c.Args[i] = ip.argOf(st, st.read(isa.A0+isa.Reg(i)).v)
-			}
+			c := Call{PC: pc, Indirect: true, MustExec: ip.blockMust, targetTag: tt}
+			ip.args(st, &c)
 			for _, target := range t.v.set {
 				c.Target = target
 				ip.fi.Calls = append(ip.fi.Calls, c)
@@ -1464,7 +1532,7 @@ func (ip *interp) indirectCall(st *state, pc uint64, t cell) {
 			if v.k == kSP {
 				ip.escapeSP(v, "frame pointer passed at unresolved indirect call")
 			} else if v.k == kParam {
-				ip.paramEscape(v.param)
+				ip.paramEscape(int(v.param))
 			}
 		}
 	}
@@ -1513,19 +1581,21 @@ func (ip *interp) finalize() {
 	fi.Touched = MergeIntervals(clipped)
 	for i := range ip.paramTouch {
 		var ivs []Interval
-		for _, iv := range ip.paramTouch[i] {
-			lo, hi := iv.Lo, iv.Hi
+		var tags []tag
+		for k, iv := range ip.paramTouch[i] {
+			lo, hi, t := iv.Lo, iv.Hi, ip.paramTags[i][k]
 			if lo == negInf || hi == posInf || hi-lo > maxParamSpan {
 				// Unbounded pointer arithmetic: the slot axiom still bounds
 				// the access to the pointed-to slot, whose extent the caller
 				// clips; record a full-span marker.
-				lo, hi = 0, maxParamSpan
+				lo, hi, t = 0, maxParamSpan, 0
 			}
 			if hi > lo {
 				ivs = append(ivs, Interval{Lo: lo, Hi: hi})
+				tags = append(tags, t)
 			}
 		}
-		fi.ParamTouched[i] = MergeIntervals(ivs)
+		fi.ParamTouched[i], fi.paramTags[i] = ip.pv.mergeTagged(ivs, tags)
 	}
 }
 

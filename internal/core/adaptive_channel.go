@@ -6,13 +6,16 @@ import (
 	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
 	"biaslab/internal/compiler"
+	"biaslab/internal/linker"
 	"biaslab/internal/loader"
 )
 
 // planChannelSweep builds the dataflow-backed plan for a scalar code-layout
 // channel: it links the exact executable the sweep will measure at every
 // grid value and both optimization levels, runs the interprocedural engine
-// over each, and asks the channel comparator for pairwise verdicts. Unlike
+// once per level and relocates its result to every other layout
+// (analysis.NewChannelLayouts), and asks the channel comparator for
+// pairwise verdicts. Unlike
 // the env oracle — which predicts from one binary because only the stack
 // moves — a code channel needs every layout in hand: the proofs are
 // relations between pairs of binaries, not properties of one.
@@ -32,22 +35,19 @@ func planChannelSweep(r *Runner, b *bench.Benchmark, g Grid[ChannelPoint], setup
 	})
 	maps := make([]*analysis.ChannelConflictMap, 0, 2)
 	for _, lvl := range []compiler.Level{compiler.O2, compiler.O3} {
-		layouts := make([]*analysis.ChannelLayout, 0, len(values))
-		for i, v := range values {
-			s := g.Setups[i].WithLevel(lvl)
-			exe, err := r.Executable(b, s)
-			if err != nil {
+		exes := make([]*linker.Executable, len(values))
+		for i := range values {
+			if exes[i], err = r.Executable(b, g.Setups[i].WithLevel(lvl)); err != nil {
 				return nil, err
 			}
-			prog, err := r.program(b, s.Compiler)
-			if err != nil {
-				return nil, err
-			}
-			cl, err := analysis.NewChannelLayout(v, exe, prog)
-			if err != nil {
-				return nil, fmt.Errorf("core: planning %s sweep of %s: %w", g.Kind, b.Name, err)
-			}
-			layouts = append(layouts, cl)
+		}
+		prog, err := r.program(b, setup.WithLevel(lvl).Compiler)
+		if err != nil {
+			return nil, err
+		}
+		layouts, err := analysis.NewChannelLayouts(values, exes, prog)
+		if err != nil {
+			return nil, fmt.Errorf("core: planning %s sweep of %s: %w", g.Kind, b.Name, err)
 		}
 		maps = append(maps, analysis.BuildChannelConflictMap(b.Name, setup.Machine, g.Kind, mcfg, sp, layouts))
 	}

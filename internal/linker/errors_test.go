@@ -36,4 +36,9 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := Link(bad, Options{}); !errors.Is(err, ErrBadRelocation) {
 		t.Errorf("bss relocation: err = %v, want ErrBadRelocation", err)
 	}
+
+	// A base between instructions: the text padding could never line up.
+	if _, err := Link(objs, Options{TextBase: DefaultTextBase + 2}); !errors.Is(err, ErrBadBase) {
+		t.Errorf("unaligned base: err = %v, want ErrBadBase", err)
+	}
 }

@@ -30,6 +30,9 @@ var (
 	ErrBadRelocation = errors.New("linker: bad relocation")
 	// ErrNoEntry marks a link with no _start or no main symbol.
 	ErrNoEntry = errors.New("linker: no entry point")
+	// ErrBadBase marks a text base that is not instruction-aligned: text is
+	// padded in whole instructions, so no object could start at its address.
+	ErrBadBase = errors.New("linker: text base not instruction-aligned")
 )
 
 // Default image geometry. Everything lives below 16 MiB so that 32-bit
@@ -64,6 +67,19 @@ type Executable struct {
 	Funcs []FuncRange
 	// Order records the object names in the order they were laid out.
 	Order []string
+
+	// Placements records where each input object landed, crt0 first and
+	// then the objects in layout order. Two images whose placements name
+	// the same objects in the same order are relinks of one program, and
+	// with Symbols they say where every relocation landed and what it
+	// patched in.
+	Placements []Placement
+}
+
+// Placement locates one input object's sections in the image.
+type Placement struct {
+	Object          *obj.Object
+	Text, Data, BSS uint64 // section base addresses
 }
 
 // FuncRange locates one function in the image.
@@ -96,8 +112,11 @@ func Link(objects []*obj.Object, opts Options) (*Executable, error) {
 	if opts.TextBase == 0 {
 		opts.TextBase = DefaultTextBase
 	}
+	if opts.TextBase%uint64(isa.InstSize) != 0 {
+		return nil, fmt.Errorf("%w: %#x", ErrBadBase, opts.TextBase)
+	}
 	opts.PadObjects = alignUp(opts.PadObjects, uint64(isa.InstSize))
-	all := append([]*obj.Object{crt0()}, objects...)
+	all := append([]*obj.Object{crt0}, objects...)
 
 	// Pass 1: detect duplicate definitions.
 	defined := map[string]int{}
@@ -113,15 +132,15 @@ func Link(objects []*obj.Object, opts Options) (*Executable, error) {
 		}
 	}
 
-	exe := &Executable{TextBase: opts.TextBase, Symbols: map[string]uint64{}}
+	exe := &Executable{TextBase: opts.TextBase, Symbols: map[string]uint64{}, Placements: make([]Placement, len(all))}
+	place := exe.Placements
 
 	// Pass 2: lay out text in object order.
-	textBases := make([]uint64, len(all))
 	addr := opts.TextBase
 	for i, o := range all {
 		align := objTextAlign(o)
 		addr = alignUp(addr, align)
-		textBases[i] = addr
+		place[i] = Placement{Object: o, Text: addr}
 		pad := addr - opts.TextBase - uint64(len(exe.Text))
 		for j := uint64(0); j < pad; j += uint64(isa.InstSize) {
 			exe.Text = isa.EncodeTo(exe.Text, isa.Inst{Op: isa.OpNop})
@@ -133,22 +152,20 @@ func Link(objects []*obj.Object, opts Options) (*Executable, error) {
 
 	// Pass 3: data and bss, page-aligned after text, again in object order.
 	exe.DataBase = alignUp(opts.TextBase+uint64(len(exe.Text)), PageSize)
-	dataBases := make([]uint64, len(all))
 	daddr := exe.DataBase
 	for i, o := range all {
 		daddr = alignUp(daddr, objDataAlign(o, obj.SecData))
-		dataBases[i] = daddr
+		place[i].Data = daddr
 		pad := daddr - exe.DataBase - uint64(len(exe.Data))
 		exe.Data = append(exe.Data, make([]byte, pad)...)
 		exe.Data = append(exe.Data, o.Data...)
 		daddr += uint64(len(o.Data))
 	}
 	exe.BSSBase = alignUp(daddr, PageSize)
-	bssBases := make([]uint64, len(all))
 	baddr := exe.BSSBase
 	for i, o := range all {
 		baddr = alignUp(baddr, objDataAlign(o, obj.SecBSS))
-		bssBases[i] = baddr
+		place[i].BSS = baddr
 		baddr += o.BSSSize
 	}
 	exe.BSSSize = baddr - exe.BSSBase
@@ -159,11 +176,11 @@ func Link(objects []*obj.Object, opts Options) (*Executable, error) {
 			var base uint64
 			switch s.Section {
 			case obj.SecText:
-				base = textBases[i]
+				base = place[i].Text
 			case obj.SecData:
-				base = dataBases[i]
+				base = place[i].Data
 			default:
-				base = bssBases[i]
+				base = place[i].BSS
 			}
 			a := base + s.Offset
 			exe.Symbols[s.Name] = a
@@ -184,7 +201,7 @@ func Link(objects []*obj.Object, opts Options) (*Executable, error) {
 			target = uint64(int64(target) + r.Addend)
 			switch r.Section {
 			case obj.SecText:
-				off := textBases[i] - opts.TextBase + r.Offset
+				off := place[i].Text - opts.TextBase + r.Offset
 				if err := patchText(exe.Text, off, r, target); err != nil {
 					return nil, fmt.Errorf("%w: %s: %v", ErrBadRelocation, o.Name, err)
 				}
@@ -192,7 +209,7 @@ func Link(objects []*obj.Object, opts Options) (*Executable, error) {
 				if r.Kind != obj.RelocAbs64 {
 					return nil, fmt.Errorf("%w: %s: non-abs64 relocation in data", ErrBadRelocation, o.Name)
 				}
-				off := dataBases[i] - exe.DataBase + r.Offset
+				off := place[i].Data - exe.DataBase + r.Offset
 				if off+8 > uint64(len(exe.Data)) {
 					return nil, fmt.Errorf("%w: %s: data relocation offset %#x out of range", ErrBadRelocation, o.Name, off)
 				}
@@ -275,8 +292,12 @@ func objDataAlign(o *obj.Object, sec obj.SectionKind) uint64 {
 	return align
 }
 
-// crt0 synthesizes the startup object: call main, then exit(0).
-func crt0() *obj.Object {
+// crt0 is the startup object: call main, then exit(0). It is built once
+// and shared, read-only, by every link, so relinks of one program place
+// the very same objects.
+var crt0 = newCrt0()
+
+func newCrt0() *obj.Object {
 	o := &obj.Object{Name: "crt0.o"}
 	var code []isa.Inst
 	code = append(code,

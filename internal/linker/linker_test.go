@@ -134,3 +134,36 @@ func TestPadObjectsShiftsLayout(t *testing.T) {
 		t.Error("padding did not shift layout")
 	}
 }
+
+// TestLinkRecordsPlacements: the placements an image records say exactly
+// where each object's symbols went, and relinks of one program place the
+// very same objects, crt0 included.
+func TestLinkRecordsPlacements(t *testing.T) {
+	objs := compileObjs(t, compiler.Config{Level: compiler.O2}, mainSrc, helperSrc)
+	a, err := Link(objs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Link(objs, Options{PadObjects: 64, TextBase: DefaultTextBase + 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exe := range []*Executable{a, b} {
+		if len(exe.Placements) != len(objs)+1 {
+			t.Fatalf("%d placements for %d objects plus crt0", len(exe.Placements), len(objs))
+		}
+		for _, p := range exe.Placements {
+			for _, s := range p.Object.Symbols {
+				base := map[obj.SectionKind]uint64{obj.SecText: p.Text, obj.SecData: p.Data, obj.SecBSS: p.BSS}[s.Section]
+				if exe.Symbols[s.Name] != base+s.Offset {
+					t.Errorf("%s at %#x, placement says %#x", s.Name, exe.Symbols[s.Name], base+s.Offset)
+				}
+			}
+		}
+	}
+	for i := range a.Placements {
+		if a.Placements[i].Object != b.Placements[i].Object {
+			t.Errorf("placement %d: relinks place different objects", i)
+		}
+	}
+}

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"biaslab/internal/bench"
@@ -211,11 +212,18 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 	if len(f.Channels) == 0 {
 		return nil, fmt.Errorf("spec: empty channels map: declare at least one channel as swept, randomized or fixed")
 	}
-	for name, ch := range f.Channels {
+	// Sorted, not map order: a file with several faults must always
+	// report the same first one.
+	names := make([]string, 0, len(f.Channels))
+	for name := range f.Channels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		if _, ok := channels.ByName(name); !ok {
 			return nil, fmt.Errorf("spec: unknown channel %q (registry: %v)", name, channels.Names())
 		}
-		if err := checkChannel(name, ch); err != nil {
+		if err := checkChannel(name, f.Channels[name]); err != nil {
 			return nil, err
 		}
 	}

@@ -65,9 +65,6 @@ type Executable struct {
 	// Funcs lists function symbols sorted by address, for profiling and
 	// disassembly.
 	Funcs []FuncRange
-	// Order records the object names in the order they were laid out.
-	Order []string
-
 	// Placements records where each input object landed, crt0 first and
 	// then the objects in layout order. Two images whose placements name
 	// the same objects in the same order are relinks of one program, and
@@ -147,7 +144,6 @@ func Link(objects []*obj.Object, opts Options) (*Executable, error) {
 		}
 		exe.Text = append(exe.Text, o.Text...)
 		addr += uint64(len(o.Text)) + opts.PadObjects
-		exe.Order = append(exe.Order, o.Name)
 	}
 
 	// Pass 3: data and bss, page-aligned after text, again in object order.

@@ -97,7 +97,9 @@ type AdaptiveSweepStats struct {
 // verification is re-measured densely, so a wrong oracle costs time, never
 // correctness of the points it got to verify. When the oracle's predictions
 // hold, the returned points are byte-identical to Sweep's over the same
-// grid.
+// grid. Probes and fallback points are measured in parallel through
+// Grid.Measure, Sweep's unit of work, so each point holds one image and one
+// machine at a time, exactly as in a dense sweep.
 //
 // Checkpoint keys are identical to Sweep's, so adaptive and dense runs
 // share a journal: a resumed run replays whichever points either mode
@@ -136,40 +138,33 @@ func SweepPlanned[P SweepPoint](ctx context.Context, r *Runner, b *bench.Benchma
 		}
 	}
 
-	// measurePts measures the given grid indices — both optimization levels
-	// per point, batched through MeasureBatch — and records each completed
-	// point before moving on, preserving the dense sweep's partial-result
-	// contract at chunk granularity.
+	// measurePts measures the given grid indices through the dense
+	// driver's unit of work — one Grid.Measure per point under ForEach —
+	// and records each completed point before marking it done, preserving
+	// Sweep's partial-result contract. No index is done on entry, so the
+	// pass's measurements are counted from done afterwards, off the
+	// workers.
 	measurePts := func(idxs []int) error {
-		const pointsPerChunk = measureBatchSize / 2
-		for start := 0; start < len(idxs); start += pointsPerChunk {
-			end := start + pointsPerChunk
-			if end > len(idxs) {
-				end = len(idxs)
-			}
-			chunk := idxs[start:end]
-			setups := make([]Setup, 0, 2*len(chunk))
-			for _, i := range chunk {
-				s := g.Setups[i]
-				setups = append(setups, s.WithLevel(compiler.O2), s.WithLevel(compiler.O3))
-			}
-			ms, err := r.MeasureBatch(ctx, b, setups)
+		err := ForEach(ctx, len(idxs), 0, func(ctx context.Context, k int) error {
+			i := idxs[k]
+			p, err := g.Measure(ctx, r, b, i)
 			if err != nil {
 				return err
 			}
-			for k, i := range chunk {
-				mb, mo := ms[2*k], ms[2*k+1]
-				p := g.Point(i, mb.Cycles, mo.Cycles)
-				if ck != nil {
-					if err := ck.Record(g.Key(b.Name, i), p); err != nil {
-						return err
-					}
+			if ck != nil {
+				if err := ck.Record(g.Key(b.Name, i), p); err != nil {
+					return err
 				}
-				points[i], done[i] = p, true
+			}
+			points[i], done[i] = p, true
+			return nil
+		})
+		for _, i := range idxs {
+			if done[i] {
 				stats.Measured++
 			}
 		}
-		return nil
+		return err
 	}
 	fail := func(err error) ([]P, AdaptiveSweepStats, error) {
 		completed, err := g.incomplete(b.Name, points, done, err)
@@ -207,9 +202,11 @@ func SweepPlanned[P SweepPoint](ctx context.Context, r *Runner, b *bench.Benchma
 		return fail(err)
 	}
 
-	// Verify each plateau against every point of it we hold — probes plus
-	// any replayed checkpoint points — and either interpolate the interior
-	// or fall back to measuring it densely.
+	// Verify every plateau against every point of it we hold — probes plus
+	// any replayed checkpoint points. A plateau that agrees has its interior
+	// interpolated; the missing points of all plateaus that disagree are
+	// then measured densely in one pass.
+	var dense []int
 	for k := range starts {
 		lo, hi := plateau(k)
 		agree := true
@@ -223,14 +220,10 @@ func SweepPlanned[P SweepPoint](ctx context.Context, r *Runner, b *bench.Benchma
 		}
 		if !agree {
 			stats.Fallbacks++
-			dense := make([]int, 0, hi-lo+1)
 			for i := lo; i <= hi; i++ {
 				if !done[i] {
 					dense = append(dense, i)
 				}
-			}
-			if err := measurePts(dense); err != nil {
-				return fail(err)
 			}
 			continue
 		}
@@ -247,6 +240,9 @@ func SweepPlanned[P SweepPoint](ctx context.Context, r *Runner, b *bench.Benchma
 			points[i], done[i] = p, true
 			stats.Interpolated++
 		}
+	}
+	if err := measurePts(dense); err != nil {
+		return fail(err)
 	}
 	return points, stats, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
-	"biaslab/internal/compiler"
 	"biaslab/internal/machine"
 )
 
@@ -193,35 +192,5 @@ func TestAdaptiveSweepSharesDenseJournal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(dense, adaptive) {
 		t.Fatalf("replayed points diverge from the dense sweep's")
-	}
-}
-
-// TestMeasureBatchMatchesMeasure checks the batched measurement path
-// returns exactly what serial Measure calls return, across machines and
-// optimization levels in one heterogeneous batch.
-func TestMeasureBatchMatchesMeasure(t *testing.T) {
-	b, _ := bench.ByName("libquantum")
-	ctx := context.Background()
-	var setups []Setup
-	for _, model := range []string{"core2", "p4", "m5"} {
-		for _, lvl := range []compiler.Level{compiler.O2, compiler.O3} {
-			s := DefaultSetup(model).WithLevel(lvl)
-			setups = append(setups, s)
-		}
-	}
-
-	batched, err := NewRunner(bench.SizeTest).MeasureBatch(ctx, b, setups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := NewRunner(bench.SizeTest)
-	for i, s := range setups {
-		want, err := serial.Measure(ctx, b, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, batched[i]) {
-			t.Errorf("setup %s: batched %+v vs serial %+v", s, batched[i], want)
-		}
 	}
 }

@@ -5,8 +5,11 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
 	"biaslab/internal/faultinject"
 )
@@ -225,5 +228,136 @@ func TestFaultedSweepResumesByteIdentical(t *testing.T) {
 		if resumed[i] != clean[i] {
 			t.Errorf("point %d: resumed %+v != clean %+v", i, resumed[i], clean[i])
 		}
+	}
+}
+
+// plannedFaultSweep is the planned-driver fixture of the tests below: an
+// env grid of hmmer on p4 and the real oracle plan for it. Grid point 0
+// (env=8B) opens the first plateau, so it is always a probe and always
+// measured; the fault keys below match it and no other point.
+func plannedFaultSweep(t *testing.T) (*bench.Benchmark, Grid[EnvPoint], *analysis.EnvPlan) {
+	t.Helper()
+	b, _ := bench.ByName("hmmer")
+	setup := DefaultSetup("p4")
+	sizes := DefaultEnvSizes(512)
+	plan, err := PlanEnvSweep(NewRunner(bench.SizeTest), b, setup, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, EnvGrid(setup, sizes), plan
+}
+
+// TestPlannedSweepPartialResultsExplicitGaps: SweepPlanned keeps Sweep's
+// partial-result contract — a faulted point is absent from a shorter
+// result, and the error exposes the injected cause.
+func TestPlannedSweepPartialResultsExplicitGaps(t *testing.T) {
+	defer faultinject.Reset()
+	b, g, plan := plannedFaultSweep(t)
+	faultinject.Reset()
+	faultinject.Arm(faultinject.Fault{Stage: "measure", Match: "env=8B", Mode: faultinject.ModeError})
+
+	points, _, err := SweepPlanned(context.Background(), NewRunner(bench.SizeTest), b, g, plan, nil)
+	if err == nil {
+		t.Fatal("faulted planned sweep reported success")
+	}
+	if len(points) >= len(g.Setups) {
+		t.Errorf("partial sweep returned %d points for %d grid points; the gap must be explicit", len(points), len(g.Setups))
+	}
+	for _, p := range points {
+		if p.EnvBytes == 8 {
+			t.Error("the failed point leaked into the completed set")
+		}
+	}
+	var inj *faultinject.InjectedError
+	if !errors.As(err, &inj) {
+		t.Errorf("sweep error does not expose the injected cause: %v", err)
+	}
+}
+
+// TestFaultedPlannedSweepResumesByteIdentical: a checkpointed planned sweep
+// interrupted by a fault, then resumed with the fault cleared, returns
+// exactly what an uninterrupted run does.
+func TestFaultedPlannedSweepResumesByteIdentical(t *testing.T) {
+	defer faultinject.Reset()
+	b, g, plan := plannedFaultSweep(t)
+	ctx := context.Background()
+
+	clean, _, err := SweepPlanned(ctx, NewRunner(bench.SizeTest), b, g, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ck := newMemCheckpoint()
+	faultinject.Reset()
+	faultinject.Arm(faultinject.Fault{Stage: "measure", Match: "env=8B", Mode: faultinject.ModeError})
+	partial, _, err := SweepPlanned(ctx, NewRunner(bench.SizeTest), b, g, plan, ck)
+	faultinject.Reset()
+	if err == nil {
+		t.Fatal("interrupted run reported success")
+	}
+	if len(partial) >= len(g.Setups) {
+		t.Fatalf("interrupted run returned %d points, want a gap", len(partial))
+	}
+
+	resumed, _, err := SweepPlanned(ctx, NewRunner(bench.SizeTest), b, g, plan, ck)
+	if err != nil {
+		t.Fatalf("resume failed: %v", err)
+	}
+	if !reflect.DeepEqual(resumed, clean) {
+		t.Errorf("resumed planned sweep diverges from the uninterrupted run:\nresumed %+v\nclean   %+v", resumed, clean)
+	}
+}
+
+// TestPlannedSweepPanicContained: a panic in one worker's measurement is
+// recovered at that point's fault boundary and reported with the point's
+// stage and setup; its image is dropped rather than released. The same
+// runner then resumes the sweep to the uninterrupted result, and its
+// machine pool holds at most one machine per worker: every point holds one
+// machine at a time, as in a dense sweep.
+func TestPlannedSweepPanicContained(t *testing.T) {
+	defer faultinject.Reset()
+	b, g, plan := plannedFaultSweep(t)
+	ctx := context.Background()
+
+	clean, _, err := SweepPlanned(ctx, NewRunner(bench.SizeTest), b, g, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRunner(bench.SizeTest)
+	ck := newMemCheckpoint()
+	faultinject.Reset()
+	faultinject.Arm(faultinject.Fault{Stage: "measure", Match: "env=8B", Mode: faultinject.ModePanic})
+	partial, _, err := SweepPlanned(ctx, r, b, g, plan, ck)
+	faultinject.Reset()
+	if err == nil {
+		t.Fatal("panicked planned sweep reported success")
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panic not wrapped as *PanicError: %v", err)
+	}
+	var me *MeasurementError
+	if !errors.As(err, &me) || me.Stage != StageMeasure || me.Setup.EnvBytes != 8 {
+		t.Errorf("panic not attributed to its point's measure stage: %v", err)
+	}
+	for _, p := range partial {
+		if p.EnvBytes == 8 {
+			t.Error("the panicked point leaked into the completed set")
+		}
+	}
+
+	resumed, _, err := SweepPlanned(ctx, r, b, g, plan, ck)
+	if err != nil {
+		t.Fatalf("resume on the same runner failed: %v", err)
+	}
+	if !reflect.DeepEqual(resumed, clean) {
+		t.Errorf("resume after a panic diverges from the uninterrupted run")
+	}
+	r.mu.Lock()
+	pooled := len(r.machines["p4"])
+	r.mu.Unlock()
+	if workers := runtime.GOMAXPROCS(0); pooled > workers {
+		t.Errorf("machine pool holds %d machines after the sweep, want at most one per worker (%d)", pooled, workers)
 	}
 }

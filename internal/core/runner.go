@@ -362,8 +362,8 @@ func setupID(b *bench.Benchmark, setup Setup) string {
 }
 
 // stagedExecutable runs the compile and link stages for (b, setup) behind
-// the runStage fault boundary — the shared front half of measure and
-// MeasureBatch. sid must be setupID(b, setup).
+// the runStage fault boundary — the shared front half of measure and of
+// measureCoRun's co-runner pipeline. sid must be setupID(b, setup).
 func (r *Runner) stagedExecutable(b *bench.Benchmark, setup Setup, sid string) (*linker.Executable, error) {
 	var objs []*obj.Object
 	if err := runStage(StageCompile, b.Name, setup, func() error {
@@ -401,9 +401,24 @@ func (r *Runner) stagedExecutable(b *bench.Benchmark, setup Setup, sid string) (
 	return exe, nil
 }
 
-// stagedLoad runs the load stage behind the runStage fault boundary. sid
-// must be setupID(b, setup).
-func (r *Runner) stagedLoad(b *bench.Benchmark, setup Setup, sid string, exe *linker.Executable) (*loader.Image, error) {
+// measure contains the shared body of Measure and MeasureProfiled: the
+// four-stage pipeline (compile, link, load, measure), each stage behind
+// the runStage fault boundary and a fault-injection hook.
+func (r *Runner) measure(ctx context.Context, b *bench.Benchmark, setup Setup, profiled bool) (*measured, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	sid := setupID(b, setup)
+	exe, err := r.stagedExecutable(b, setup, sid)
+	if err != nil {
+		return nil, err
+	}
+
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
 	var img *loader.Image
 	if err := runStage(StageLoad, b.Name, setup, func() error {
 		if err := faultinject.Check("load", sid); err != nil {
@@ -424,31 +439,6 @@ func (r *Runner) stagedLoad(b *bench.Benchmark, setup Setup, sid string, exe *li
 		}
 		return nil
 	}); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// measure contains the shared body of Measure and MeasureProfiled: the
-// four-stage pipeline (compile, link, load, measure), each stage behind
-// the runStage fault boundary and a fault-injection hook.
-func (r *Runner) measure(ctx context.Context, b *bench.Benchmark, setup Setup, profiled bool) (*measured, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	sid := setupID(b, setup)
-	exe, err := r.stagedExecutable(b, setup, sid)
-	if err != nil {
-		return nil, err
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	img, err := r.stagedLoad(b, setup, sid, exe)
-	if err != nil {
 		return nil, err
 	}
 

@@ -1,7 +1,6 @@
 package integration
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -87,95 +86,5 @@ func TestFastPathMatchesReference(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunBatchMatchesReference extends the equivalence proof to the batched
-// engine: for every machine model × compiler personality, ALL benchmark ×
-// level members run interleaved through one machine.RunBatch call, and each
-// member's counters, checksum, output and exit code must be bit-identical
-// to a solo run through the reference stepper. Interleaving is the point —
-// round-robin slicing must not let one member's budget, predictors, or
-// caches contaminate another's.
-func TestRunBatchMatchesReference(t *testing.T) {
-	size := bench.SizeSmall
-	if testing.Short() {
-		size = bench.SizeTest
-	}
-	levels := []compiler.Level{compiler.O2, compiler.O3}
-	personalities := []compiler.Personality{compiler.GCC, compiler.ICC}
-	models := []string{"p4", "core2", "m5"}
-	env := loader.SyntheticEnv(512)
-
-	type member struct {
-		label string
-		exe   *linker.Executable
-		args  []string
-	}
-	for _, model := range models {
-		model := model
-		for _, pers := range personalities {
-			pers := pers
-			t.Run(fmt.Sprintf("%s/%v", model, pers), func(t *testing.T) {
-				t.Parallel()
-				mc, ok := machine.ConfigByName(model)
-				if !ok {
-					t.Fatalf("unknown machine %s", model)
-				}
-				var members []member
-				for _, b := range bench.All() {
-					for _, lvl := range levels {
-						cfg := compiler.Config{Level: lvl, Personality: pers}
-						objs, _, err := compiler.Compile(b.Sources(size), cfg)
-						if err != nil {
-							t.Fatalf("%s %s: compile: %v", b.Name, cfg, err)
-						}
-						exe, err := linker.Link(objs, linker.Options{})
-						if err != nil {
-							t.Fatalf("%s %s: link: %v", b.Name, cfg, err)
-						}
-						members = append(members, member{
-							label: fmt.Sprintf("%s/%s/%s", b.Name, cfg, model),
-							exe:   exe,
-							args:  []string{b.Name},
-						})
-					}
-				}
-				load := func(m member) *loader.Image {
-					img, err := loader.Load(m.exe, loader.Options{Env: env, Args: m.args})
-					if err != nil {
-						t.Fatalf("%s: load: %v", m.label, err)
-					}
-					return img
-				}
-				ms := make([]*machine.Machine, len(members))
-				imgs := make([]*loader.Image, len(members))
-				for i, m := range members {
-					ms[i] = machine.New(mc)
-					imgs[i] = load(m)
-				}
-				batch, err := machine.RunBatch(context.Background(), ms, imgs, 1<<31)
-				if err != nil {
-					t.Fatalf("RunBatch: %v", err)
-				}
-				for i, m := range members {
-					ref, err := machine.New(mc).RunReference(load(m), 1<<31)
-					if err != nil {
-						t.Fatalf("%s: reference run: %v", m.label, err)
-					}
-					got := batch[i]
-					if got.Counters != ref.Counters {
-						t.Errorf("%s: counters diverge:\nbatch: %+v\nref:   %+v", m.label, got.Counters, ref.Counters)
-					}
-					if got.Checksum != ref.Checksum || got.ExitCode != ref.ExitCode {
-						t.Errorf("%s: checksum/exit diverge: %d/%d vs %d/%d",
-							m.label, got.Checksum, got.ExitCode, ref.Checksum, ref.ExitCode)
-					}
-					if len(got.Output) != len(ref.Output) {
-						t.Errorf("%s: output length diverges: %d vs %d", m.label, len(got.Output), len(ref.Output))
-					}
-				}
-			})
-		}
 	}
 }

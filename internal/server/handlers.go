@@ -97,6 +97,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // terminal state. Each event carries its absolute index as the SSE id;
 // a reconnecting client passes ?since=N (the index after the last event it
 // saw) to receive exactly the events it missed — no duplicates, no gaps.
+// An N beyond the events recorded so far names an event the job never
+// emitted and is rejected with 400.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -110,6 +112,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		n, err := strconv.Atoi(since)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad since %q", since))
+			return
+		}
+		if count := j.eventCount(); n > count {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("since %d is beyond the job's %d events", n, count))
 			return
 		}
 		idx = n

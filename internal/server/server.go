@@ -643,15 +643,21 @@ func terminal(state JobState) bool {
 	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
+// eventCount returns how many events the job has emitted so far.
+func (j *job) eventCount() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.events)
+}
+
 // eventsSince returns the events from index i on, a channel that is
 // closed when more arrive, and whether the job has reached a terminal
-// state. The SSE handler drains events, then waits on the channel.
+// state. The SSE handler drains events, then waits on the channel. Events
+// are only ever appended, so an i the handler checked against eventCount
+// stays in range.
 func (j *job) eventsSince(i int) ([]Event, <-chan struct{}, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if i > len(j.events) {
-		i = len(j.events)
-	}
 	evs := append([]Event(nil), j.events[i:]...)
 	return evs, j.changed, terminal(j.state)
 }

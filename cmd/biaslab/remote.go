@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 
@@ -71,27 +70,16 @@ func (a *app) remoteResult(spec server.JobSpec) (*server.Result, []byte, error) 
 // stderr, until the job reaches a terminal state; a failed or canceled job
 // becomes an error.
 func (a *app) watchRemote(cl *client.Client, id string) error {
-	evCtx, stopEvents := context.WithCancel(a.ctx)
-	events := make(chan struct{})
-	go func() {
-		defer close(events)
-		err := cl.Events(evCtx, id, func(ev server.Event) {
-			if ev.Type != "point" {
-				return
-			}
-			mark := ""
-			if ev.Replayed {
-				mark = " (replayed)"
-			}
-			fmt.Fprintf(os.Stderr, "biaslab: point %d/%d %s%s\n", ev.Done, ev.Total, ev.Key, mark)
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "biaslab: event stream:", err)
+	st, err := cl.Follow(a.ctx, id, func(ev server.Event) {
+		if ev.Type != "point" {
+			return
 		}
-	}()
-	st, err := cl.Wait(a.ctx, id)
-	stopEvents()
-	<-events
+		mark := ""
+		if ev.Replayed {
+			mark = " (replayed)"
+		}
+		fmt.Fprintf(os.Stderr, "biaslab: point %d/%d %s%s\n", ev.Done, ev.Total, ev.Key, mark)
+	})
 	if err != nil {
 		return err
 	}

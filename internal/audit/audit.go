@@ -50,9 +50,12 @@ package audit
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 
 	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
+	"biaslab/internal/compiler"
 	"biaslab/internal/core"
 	"biaslab/internal/linker"
 	"biaslab/internal/machine"
@@ -122,14 +125,104 @@ type Finding = server.AuditFinding
 // Auditor evaluates the rule catalog. The runner hook supplies the shared
 // measurement Runner for a workload size: the oracle-backed rules compile
 // and link (cached, static) but never simulate.
+//
+// An Auditor memoizes the oracle plans its rules read, not the findings:
+// a finding's message may quote the spec (unrandomized-sensitive names
+// its env_bytes), while the plan depends only on what planKey holds, so
+// every run submission of one (bench, machine) cell shares one plan. An
+// Auditor is safe for concurrent use.
 type Auditor struct {
 	runner func(size bench.Size) *core.Runner
+
+	mu    sync.Mutex
+	plans map[planKey]*analysis.EnvPlan
+}
+
+// planKey is exactly what a planner reads. The level is not in it: every
+// plan covers both O2 and O3. The machine's resolved configuration is, so
+// a name re-registered with another geometry (core.Runner.RegisterMachine)
+// never finds the old plan; the name itself only labels the plan.
+type planKey struct {
+	planner  string // "env", "pad" or "base"
+	size     bench.Size
+	bench    string
+	machine  string
+	geometry machine.Config
+	compiler compiler.Config // Level zeroed
+	envBytes uint64
+	shift    uint64
+	pad      uint64
+	base     uint64
+	order    string
+	values   string
+}
+
+// planMemoCap bounds the plan memo, as linkCacheCap bounds core.Runner's
+// link cache. Eviction is arbitrary: a plan is a pure function of its key.
+const planMemoCap = 512
+
+// planners are the oracle planners the rules consult, by planKey.planner.
+var planners = map[string]func(*core.Runner, *bench.Benchmark, core.Setup, []uint64) (*analysis.EnvPlan, error){
+	"env":  core.PlanEnvSweep,
+	"pad":  core.PlanPadSweep,
+	"base": core.PlanBaseSweep,
+}
+
+// plan returns planner's plan of b under setup over values, from the memo
+// when an earlier audit planned the same key. Plans are shared and must
+// not be modified.
+func (a *Auditor) plan(size bench.Size, planner string, b *bench.Benchmark, setup core.Setup, values []uint64) (*analysis.EnvPlan, error) {
+	r := a.runner(size)
+	geometry, err := r.MachineConfig(setup.Machine)
+	if err != nil {
+		return nil, err
+	}
+	cc := setup.Compiler
+	cc.Level = 0
+	key := planKey{
+		planner: planner, size: size, bench: b.Name,
+		machine: setup.Machine, geometry: geometry, compiler: cc,
+		envBytes: setup.EnvBytes, shift: setup.StackShift,
+		pad: setup.TextPad, base: setup.TextBase,
+		order:  fmt.Sprint(setup.LinkOrder),
+		values: uintsKey(values),
+	}
+	a.mu.Lock()
+	p, ok := a.plans[key]
+	a.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	if p, err = planners[planner](r, b, setup, values); err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.plans) >= planMemoCap {
+		//determlint:allow memo eviction choice never reaches a finding
+		for k := range a.plans {
+			delete(a.plans, k)
+			break
+		}
+	}
+	a.plans[key] = p
+	return p, nil
+}
+
+// uintsKey encodes a value grid for use in a map key.
+func uintsKey(values []uint64) string {
+	b := make([]byte, 0, 5*len(values))
+	for _, v := range values {
+		b = strconv.AppendUint(b, v, 10)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // New builds an Auditor over a Runner source — server.(*Server).Runner for
 // the daemon, or any compatible closure for the CLI.
 func New(runner func(size bench.Size) *core.Runner) *Auditor {
-	return &Auditor{runner: runner}
+	return &Auditor{runner: runner, plans: map[planKey]*analysis.EnvPlan{}}
 }
 
 // Spec is one audited spec with its provenance and file-level
@@ -317,7 +410,7 @@ func (a *Auditor) planFor(c server.JobSpec) (*analysis.EnvPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.PlanEnvSweep(a.runner(size), b, setup, fineGrid())
+	return a.plan(size, "env", b, setup, fineGrid())
 }
 
 // ruleOracle covers the two oracle-backed rules: coarse-env-grid for
@@ -367,19 +460,18 @@ func (a *Auditor) ruleUnrandomizedChannels(c server.JobSpec) ([]Finding, error) 
 	if err != nil {
 		return nil, err
 	}
-	r := a.runner(size)
 	probes := []struct {
 		rule    string
 		knob    string
 		values  []uint64
-		planner func(*core.Runner, *bench.Benchmark, core.Setup, []uint64) (*analysis.EnvPlan, error)
+		planner string
 	}{
-		{RuleUnrandomizedPad, "inter-object text padding", []uint64{0, 4}, core.PlanPadSweep},
-		{RuleUnrandomizedBase, "image base", []uint64{linker.DefaultTextBase, linker.DefaultTextBase + 4}, core.PlanBaseSweep},
+		{RuleUnrandomizedPad, "inter-object text padding", []uint64{0, 4}, "pad"},
+		{RuleUnrandomizedBase, "image base", []uint64{linker.DefaultTextBase, linker.DefaultTextBase + 4}, "base"},
 	}
 	var fs []Finding
 	for _, p := range probes {
-		plan, err := p.planner(r, b, setup, p.values)
+		plan, err := a.plan(size, p.planner, b, setup, p.values)
 		if err != nil {
 			return nil, err
 		}

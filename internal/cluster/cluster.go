@@ -8,10 +8,11 @@
 //
 //   - A worker joins (POST /v1/cluster/join) and is given an epoch, the
 //     lease TTL, and the heartbeat interval.
-//   - The worker heartbeats (POST /v1/cluster/heartbeat) on the interval.
-//     One heartbeat does three jobs at once: it renews the leases on the
-//     shards the worker holds, delivers completed points and shard
-//     results, and picks up new shard assignments.
+//   - The worker heartbeats (POST /v1/cluster/heartbeat) on the interval,
+//     and as soon as one of its shards finishes. One heartbeat does three
+//     jobs at once: it renews the leases on the shards the worker holds,
+//     delivers completed points and shard results, and picks up new shard
+//     assignments.
 //   - A missed lease marks the worker suspect; shards whose every leased
 //     copy has expired are requeued with exponential backoff plus
 //     deterministic jitter. A worker silent for several TTLs is dropped.

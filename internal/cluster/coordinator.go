@@ -382,6 +382,14 @@ func (c *Coordinator) shardDoneLocked(w *workerState, res ShardResult, now time.
 	}
 	delete(sh.copies, w.id)
 	delete(w.held, sh.id)
+	if res.Error == "" && !sh.journalled() {
+		// A shard is complete when its points are journalled, not when a
+		// worker says so. A worker delivers a shard's points before or with
+		// its report, so a report without them is a failed attempt; taking
+		// it at its word would leave the job waiting for points that no
+		// copy will ever deliver.
+		res.Error = "reported done before its points arrived"
+	}
 	if res.Error != "" {
 		if len(sh.copies) == 0 {
 			c.requeueLocked(sh, now)
@@ -398,6 +406,17 @@ func (c *Coordinator) shardDoneLocked(w *workerState, res ShardResult, now time.
 		}
 		delete(sh.copies, wid)
 	}
+}
+
+// journalled reports whether every point of the shard is in its job's
+// journal. Callers hold c.mu.
+func (sh *shardState) journalled() bool {
+	for _, i := range sh.indices {
+		if !sh.job.indexDone[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ingestPointLocked merges one delivered point into its job's journal.

@@ -64,7 +64,7 @@ func protocolConfig(clock *fakeClock) CoordinatorConfig {
 	}
 }
 
-func protocolSpec(t *testing.T) server.JobSpec {
+func protocolSpec(t testing.TB) server.JobSpec {
 	t.Helper()
 	spec, err := server.JobSpec{Kind: server.KindSweepEnv, Size: "test", Bench: "hmmer", Machine: "p4", Step: 256}.Canonicalize()
 	if err != nil {
@@ -311,6 +311,40 @@ func TestDuplicateDelivery(t *testing.T) {
 	}
 	if snap := c.MetricsSnapshot(); snap.MergeConflicts != 1 {
 		t.Fatalf("MergeConflicts = %d, want 1", snap.MergeConflicts)
+	}
+}
+
+// TestDoneWithoutPointsIsAFailedAttempt: a shard is complete when its
+// points are journalled, not when a worker says so. A success report that
+// arrives without them counts as a failed attempt: the shard is requeued,
+// and the job completes once the points arrive.
+func TestDoneWithoutPointsIsAFailedAttempt(t *testing.T) {
+	clock := newFakeClock()
+	c := NewCoordinator(protocolConfig(clock))
+	spec := protocolSpec(t)
+	w1 := mustJoin(t, c, "w1", 8)
+	_, points, errCh := startJob(t, c, "job-nopoints", spec)
+	resp := mustBeat(t, c, HeartbeatRequest{Worker: "w1", Epoch: w1.Epoch})
+	if len(resp.Assignments) == 0 {
+		t.Fatal("no assignments")
+	}
+	a := resp.Assignments[0]
+	mustBeat(t, c, HeartbeatRequest{Worker: "w1", Epoch: w1.Epoch, Done: []ShardResult{{Job: a.Job, Shard: a.Shard}}})
+	if snap := c.MetricsSnapshot(); snap.ShardsCompleted != 0 || snap.ShardsRetried != 1 {
+		t.Fatalf("completed %d, retried %d shards after a report without points; want 0 and 1", snap.ShardsCompleted, snap.ShardsRetried)
+	}
+	var recs []PointRecord
+	for _, p := range points {
+		recs = append(recs, PointRecord{Job: a.Job, Index: p.Index, Key: p.Key, Val: fakeVal(p.Index)})
+	}
+	mustBeat(t, c, HeartbeatRequest{Worker: "w1", Epoch: w1.Epoch, Points: recs})
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("RunSharded: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("job did not complete once its points arrived")
 	}
 }
 

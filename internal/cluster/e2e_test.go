@@ -54,13 +54,14 @@ func newClusterServer(t *testing.T, cfg cluster.CoordinatorConfig) (*server.Serv
 // test ends (or the returned cancel is called).
 func startWorker(t *testing.T, id string, tr cluster.Transport) context.CancelFunc {
 	t.Helper()
-	w := cluster.NewWorker(cluster.WorkerConfig{
-		ID:        id,
-		Slots:     2,
-		Runner:    runnerCache(),
-		Transport: tr,
-		Retry:     retry.Policy{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},
-	})
+	return startWorkerWith(t, cluster.WorkerConfig{ID: id, Slots: 2, Runner: runnerCache(), Transport: tr})
+}
+
+// startWorkerWith is startWorker for a fully specified worker.
+func startWorkerWith(t *testing.T, cfg cluster.WorkerConfig) context.CancelFunc {
+	t.Helper()
+	cfg.Retry = retry.Policy{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond}
+	w := cluster.NewWorker(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -181,6 +182,68 @@ func TestClusterByteIdentity(t *testing.T) {
 	}
 	if snap.MergeConflicts != 0 {
 		t.Errorf("MergeConflicts = %d, want 0", snap.MergeConflicts)
+	}
+}
+
+// chainSpec is the job of the one-slot tests: six one-point shards.
+var chainSpec = server.JobSpec{Kind: server.KindSweepLink, Size: "test", Bench: "mcf", Machine: "core2", Orders: 4}
+
+// oneSlotFleet starts a coordinator and one worker with one slot, "w1",
+// planning one point per shard, at a heartbeat interval far longer than a
+// shard of chainSpec. The interval is sized from the job itself, so it stays
+// far longer under the race detector too. Coordinator and worker share
+// one Runner, warmed by the sizing runs, so a timed job measures shard
+// hand-off, not builds.
+func oneSlotFleet(t *testing.T) (*server.Server, *cluster.Coordinator, time.Duration) {
+	t.Helper()
+	canonical, err := chainSpec.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := core.NewRunner(bench.SizeTest)
+	var whole time.Duration
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		if _, err := server.Execute(context.Background(), runner, canonical, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		whole = time.Since(start)
+	}
+	interval := max(2*time.Second, 4*whole)
+	runners := func(bench.Size) *core.Runner { return runner }
+	srv, coord := newClusterServer(t, cluster.CoordinatorConfig{
+		LeaseTTL:       4 * interval,
+		Heartbeat:      interval,
+		PointsPerShard: 1,
+		Runner:         runners,
+	})
+	startWorkerWith(t, cluster.WorkerConfig{ID: "w1", Slots: 1, Runner: runners, Transport: cluster.LocalTransport{C: coord}})
+	waitWorkers(t, coord, 1)
+	return srv, coord, interval
+}
+
+// TestEarlyHeartbeatChainsShards: a worker beats as soon as a shard
+// finishes, and the reply hands it the next one. One worker with one slot
+// and a heartbeat interval far longer than a shard therefore runs a job of
+// six one-point shards back to back: the first waits for a tick, the rest
+// do not, so the job ends inside two intervals (waiting out a tick per
+// shard would take six).
+func TestEarlyHeartbeatChainsShards(t *testing.T) {
+	srv, coord, interval := oneSlotFleet(t)
+
+	start := time.Now()
+	raw := submitAndFetch(t, srv, chainSpec)
+	elapsed := time.Since(start)
+	if local := localBytes(t, chainSpec); !bytes.Equal(raw, local) {
+		t.Error("cluster result differs from single-node result")
+	}
+	snap := coord.MetricsSnapshot()
+	if snap.ShardsPlanned < 4 {
+		t.Fatalf("planned %d shards; the case needs four or more", snap.ShardsPlanned)
+	}
+	t.Logf("%d shards in %v at a %v heartbeat interval (%d heartbeats)", snap.ShardsPlanned, elapsed.Round(time.Millisecond), interval, snap.Heartbeats)
+	if elapsed >= 2*interval {
+		t.Errorf("job of %d shards took %v, want under two heartbeat intervals (%v)", snap.ShardsPlanned, elapsed, 2*interval)
 	}
 }
 

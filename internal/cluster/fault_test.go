@@ -27,7 +27,8 @@ import (
 func TestFaultKillWorker(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	// Fires on w1's fourth tick, ~100ms in — after it has taken leases.
+	// Fires on w1's fourth beat (a tick or an early beat), after it has
+	// taken leases.
 	faultinject.Arm(faultinject.Fault{Stage: "cluster", Match: "kill/w1", Mode: faultinject.ModeError, After: 3})
 
 	srv, coord := newClusterServer(t, cluster.CoordinatorConfig{
@@ -86,6 +87,39 @@ func TestFaultHeartbeatDrop(t *testing.T) {
 	}
 	if snap := coord.MetricsSnapshot(); snap.MergeConflicts != 0 {
 		t.Errorf("MergeConflicts = %d, want 0", snap.MergeConflicts)
+	}
+}
+
+// TestFaultEarlyHeartbeatDrop: the "heartbeat/<worker>" site swallows an
+// early beat — the one w1 makes when its first shard finishes, well before
+// its next tick. Nothing is lost: the outbox delivers the shard on the
+// next beat, the tick, and the job goes on from there, with no lease
+// expired and no shard retried.
+func TestFaultEarlyHeartbeatDrop(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	srv, coord, interval := oneSlotFleet(t)
+	// Arrival 0 is the first tick, which hands w1 its first shard; arrival
+	// 1 is the early beat that shard's end triggers.
+	faultinject.Arm(faultinject.Fault{Stage: "cluster", Match: "heartbeat/w1", Mode: faultinject.ModeTransient, After: 1})
+
+	start := time.Now()
+	raw := submitAndFetch(t, srv, chainSpec)
+	elapsed := time.Since(start)
+	if local := localBytes(t, chainSpec); !bytes.Equal(raw, local) {
+		t.Error("result after a dropped early heartbeat differs from single-node result")
+	}
+	if faultinject.Fired() != 1 {
+		t.Fatalf("heartbeat fault fired %d times, want 1", faultinject.Fired())
+	}
+	snap := coord.MetricsSnapshot()
+	if snap.LeasesExpired != 0 || snap.ShardsRetried != 0 || snap.MergeConflicts != 0 {
+		t.Errorf("expired %d, retried %d, conflicts %d; want all 0: the next beat should deliver the outbox",
+			snap.LeasesExpired, snap.ShardsRetried, snap.MergeConflicts)
+	}
+	// The drop costs w1 one tick: the first shard waits for tick 2.
+	if elapsed < interval || elapsed >= 3*interval {
+		t.Errorf("job took %v, want between one and three heartbeat intervals (%v)", elapsed, interval)
 	}
 }
 

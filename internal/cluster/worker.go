@@ -65,6 +65,12 @@ func (t LocalTransport) Leave(ctx context.Context, req LeaveRequest) error {
 // join → heartbeat → execute loop until the context is cancelled (a
 // graceful leave) or a kill fault fires (a simulated crash).
 //
+// A worker beats on every tick of the coordinator's heartbeat interval,
+// which renews its leases, and also as soon as one of its shards
+// finishes: that beat delivers the shard at once and its reply hands the
+// freed slot the next queued shard, so a job's shards follow each other
+// without waiting out the interval.
+//
 // Delivery is at-least-once: completed points and shard results stay in
 // the outbox until a heartbeat round-trip succeeds, so a heartbeat lost
 // to the network (or to the "heartbeat/<id>" fault site) delays delivery
@@ -77,6 +83,8 @@ type Worker struct {
 	held    map[string]*shardRun
 	outbox  []PointRecord
 	doneBox []ShardResult
+	// finished holds one pending "a shard finished" signal for Run.
+	finished chan struct{}
 }
 
 // shardRun is one executing assignment.
@@ -93,7 +101,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Runner == nil || cfg.Transport == nil {
 		panic("cluster: WorkerConfig.Runner and Transport are required")
 	}
-	return &Worker{cfg: cfg, held: map[string]*shardRun{}}
+	return &Worker{cfg: cfg, held: map[string]*shardRun{}, finished: make(chan struct{}, 1)}
 }
 
 // errKilled distinguishes a simulated crash from a graceful shutdown.
@@ -120,25 +128,26 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.cfg.Transport.Leave(context.Background(), LeaveRequest{Worker: w.cfg.ID, Epoch: w.epochNow()})
 			return nil
 		case <-tick.C:
-			// Fault site: a fired kill is a crash — no leave, no cleanup,
-			// executors abandoned. The coordinator must recover on its own.
-			if err := faultinject.Check("cluster", "kill/"+w.cfg.ID); err != nil {
-				w.shutdown()
-				return errKilled
-			}
-			// Fault site: a fired heartbeat fault drops this beat; the
-			// outbox keeps everything for the next one.
-			if err := faultinject.Check("cluster", "heartbeat/"+w.cfg.ID); err != nil {
-				continue
-			}
-			if err := w.beat(ctx); errors.Is(err, ErrUnknownWorker) {
-				// Dropped by the coordinator (missed leases, or it
-				// restarted). Cancel everything and start over; the
-				// outbox survives so finished work still gets delivered.
-				w.cancelAll()
-				if join, err = w.join(ctx); err != nil {
-					return err
-				}
+		case <-w.finished:
+		}
+		// Fault site: a fired kill is a crash — no leave, no cleanup,
+		// executors abandoned. The coordinator must recover on its own.
+		if err := faultinject.Check("cluster", "kill/"+w.cfg.ID); err != nil {
+			w.shutdown()
+			return errKilled
+		}
+		// Fault site: a fired heartbeat fault drops this beat; the
+		// outbox keeps everything for the next one.
+		if err := faultinject.Check("cluster", "heartbeat/"+w.cfg.ID); err != nil {
+			continue
+		}
+		if err := w.beat(ctx); errors.Is(err, ErrUnknownWorker) {
+			// Dropped by the coordinator (missed leases, or it
+			// restarted). Cancel everything and start over; the
+			// outbox survives so finished work still gets delivered.
+			w.cancelAll()
+			if join, err = w.join(ctx); err != nil {
+				return err
 			}
 		}
 	}
@@ -245,6 +254,12 @@ func (w *Worker) start(ctx context.Context, a ShardAssignment) {
 			res.Error = err.Error()
 		}
 		w.doneBox = append(w.doneBox, res)
+		// Ask Run for a beat now. The report is queued first, so a
+		// signal already pending covers it.
+		select {
+		case w.finished <- struct{}{}:
+		default:
+		}
 	}()
 }
 

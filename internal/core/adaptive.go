@@ -10,16 +10,17 @@ import (
 	"biaslab/internal/machine"
 )
 
-// machineConfig resolves a machine name to its configuration: registered
+// MachineConfig resolves a machine name to its configuration: registered
 // custom configs first, then the built-in catalogue. acquireMachine builds
-// machines from it and releaseMachine checks returned ones against it.
-func (r *Runner) machineConfig(name string) (machine.Config, error) {
+// machines from it, releaseMachine checks returned ones against it, and the
+// planners read it.
+func (r *Runner) MachineConfig(name string) (machine.Config, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.machineConfigLocked(name)
 }
 
-// machineConfigLocked is machineConfig for callers that hold r.mu.
+// machineConfigLocked is MachineConfig for callers that hold r.mu.
 func (r *Runner) machineConfigLocked(name string) (machine.Config, error) {
 	if cfg, ok := r.custom[name]; ok {
 		return cfg, nil
@@ -38,7 +39,7 @@ func (r *Runner) machineConfigLocked(name string) (machine.Config, error) {
 // merges them into a single plan. The plan is the same struct `biaslab
 // predict -json` emits.
 func PlanEnvSweep(r *Runner, b *bench.Benchmark, setup Setup, sizes []uint64) (*analysis.EnvPlan, error) {
-	cfg, err := r.machineConfig(setup.Machine)
+	cfg, err := r.MachineConfig(setup.Machine)
 	if err != nil {
 		return nil, err
 	}

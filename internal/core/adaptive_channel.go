@@ -20,7 +20,7 @@ import (
 // moves — a code channel needs every layout in hand: the proofs are
 // relations between pairs of binaries, not properties of one.
 func planChannelSweep(r *Runner, b *bench.Benchmark, g Grid[ChannelPoint], setup Setup, values []uint64) (*analysis.EnvPlan, error) {
-	mcfg, err := r.machineConfig(setup.Machine)
+	mcfg, err := r.MachineConfig(setup.Machine)
 	if err != nil {
 		return nil, err
 	}

@@ -221,7 +221,7 @@ func (r *Runner) acquireMachine(name string) (*machine.Machine, error) {
 		return m, nil
 	}
 	r.mu.Unlock()
-	cfg, err := r.machineConfig(name)
+	cfg, err := r.MachineConfig(name)
 	if err != nil {
 		return nil, err
 	}

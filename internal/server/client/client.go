@@ -34,8 +34,6 @@ type Client struct {
 	BaseURL string
 	// HTTP is the underlying client (http.DefaultClient when nil).
 	HTTP *http.Client
-	// PollInterval paces Wait's status polls (default 100ms).
-	PollInterval time.Duration
 	// Retry paces transient-failure retries and SSE reconnects. The zero
 	// value selects the package defaults (5 attempts, 50ms–2s backoff).
 	Retry retry.Policy
@@ -158,27 +156,23 @@ func (c *Client) Job(ctx context.Context, id string) (*server.JobStatus, error) 
 	return &st, nil
 }
 
-// Wait polls until the job reaches a terminal state and returns it.
+// Wait follows the job's event stream until it reaches a terminal state,
+// then reads its status once and returns it: a failed or canceled job is
+// a status, not an error. It returns ctx.Err() when ctx ends first.
 func (c *Client) Wait(ctx context.Context, id string) (*server.JobStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
+	return c.Follow(ctx, id, func(server.Event) {})
+}
+
+// Follow is Wait that also hands every event of the job, historical and
+// live, to fn — one stream serves both the progress display and the wait.
+func (c *Client) Follow(ctx context.Context, id string, fn func(server.Event)) (*server.JobStatus, error) {
+	if err := c.Events(ctx, id, fn); err != nil {
+		return nil, err
 	}
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		switch st.State {
-		case server.StateDone, server.StateFailed, server.StateCanceled:
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(interval):
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	return c.Job(ctx, id)
 }
 
 // Result fetches the stored canonical result bytes for a content key and

@@ -17,7 +17,6 @@ import (
 
 func testClient(url string) *client.Client {
 	c := client.New(url)
-	c.PollInterval = time.Millisecond
 	c.Retry = retry.Policy{Attempts: 3, Base: time.Millisecond, Cap: 5 * time.Millisecond}
 	return c
 }
@@ -178,5 +177,119 @@ func TestEventsGivesUpWithoutProgress(t *testing.T) {
 	defer mu.Unlock()
 	if conns < 2 {
 		t.Errorf("client gave up after %d connections without using its reconnect budget", conns)
+	}
+}
+
+// waitDaemon is an httptest daemon for one job, "j1": its event stream is
+// stream, and it counts the connections to that stream and the status
+// reads of the job, which report final.
+type waitDaemon struct {
+	mu           sync.Mutex
+	streams      int
+	statusReads  int
+	streamOpened chan struct{}
+}
+
+func newWaitDaemon(t *testing.T, final server.JobStatus, stream func(w http.ResponseWriter, r *http.Request)) (*waitDaemon, string) {
+	d := &waitDaemon{streamOpened: make(chan struct{}, 8)}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/j1/events", func(w http.ResponseWriter, r *http.Request) {
+		d.mu.Lock()
+		d.streams++
+		d.mu.Unlock()
+		d.streamOpened <- struct{}{}
+		w.Header().Set("Content-Type", "text/event-stream")
+		stream(w, r)
+	})
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		d.mu.Lock()
+		d.statusReads++
+		d.mu.Unlock()
+		json.NewEncoder(w).Encode(final)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return d, ts.URL
+}
+
+func (d *waitDaemon) counts() (streams, statusReads int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.streams, d.statusReads
+}
+
+// TestWaitFollowsEventsThenReadsStatusOnce: a job that runs for a while
+// costs one event stream and exactly one status read, however long it
+// runs — Wait does not poll.
+func TestWaitFollowsEventsThenReadsStatusOnce(t *testing.T) {
+	d, url := newWaitDaemon(t, server.JobStatus{ID: "j1", State: server.StateDone, Progress: server.Progress{Done: 4, Total: 4}},
+		func(w http.ResponseWriter, r *http.Request) {
+			fl := w.(http.Flusher)
+			writeEvent(w, 0, server.Event{Type: "state", State: server.StateQueued})
+			writeEvent(w, 1, server.Event{Type: "state", State: server.StateRunning})
+			fl.Flush()
+			for i := 0; i < 4; i++ {
+				time.Sleep(100 * time.Millisecond)
+				writeEvent(w, 2+i, server.Event{Type: "point", Key: fmt.Sprintf("p%d", i), Done: i + 1, Total: 4})
+				fl.Flush()
+			}
+			writeEvent(w, 6, server.Event{Type: "state", State: server.StateDone, Done: 4, Total: 4})
+		})
+
+	st, err := testClient(url).Wait(context.Background(), "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != server.StateDone || st.Progress.Done != 4 {
+		t.Errorf("status = %+v, want done with 4 points", st)
+	}
+	if streams, reads := d.counts(); streams != 1 || reads != 1 {
+		t.Errorf("Wait opened %d event streams and read the status %d times, want 1 and 1", streams, reads)
+	}
+}
+
+// TestWaitFailedJobIsAStatus: a job that fails returns its status, with
+// the failure detail, and no error — the wait itself succeeded.
+func TestWaitFailedJobIsAStatus(t *testing.T) {
+	detail := &server.ErrorDetail{Message: "measure: checksum mismatch", Stage: "measure"}
+	d, url := newWaitDaemon(t, server.JobStatus{ID: "j1", State: server.StateFailed, Error: detail},
+		func(w http.ResponseWriter, r *http.Request) {
+			writeEvent(w, 0, server.Event{Type: "state", State: server.StateQueued})
+			writeEvent(w, 1, server.Event{Type: "state", State: server.StateFailed, Error: detail})
+		})
+
+	st, err := testClient(url).Wait(context.Background(), "j1")
+	if err != nil {
+		t.Fatalf("Wait on a failed job returned an error: %v", err)
+	}
+	if st.State != server.StateFailed || st.Error == nil || st.Error.Message != detail.Message {
+		t.Errorf("status = %+v, want failed with %q", st, detail.Message)
+	}
+	if _, reads := d.counts(); reads != 1 {
+		t.Errorf("status read %d times, want 1", reads)
+	}
+}
+
+// TestWaitCanceledContext: a wait whose context ends before the job does
+// returns ctx.Err() and never reads the status.
+func TestWaitCanceledContext(t *testing.T) {
+	d, url := newWaitDaemon(t, server.JobStatus{ID: "j1", State: server.StateDone},
+		func(w http.ResponseWriter, r *http.Request) {
+			writeEvent(w, 0, server.Event{Type: "state", State: server.StateRunning})
+			w.(http.Flusher).Flush()
+			<-r.Context().Done() // the job never finishes
+		})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-d.streamOpened
+		cancel()
+	}()
+	st, err := testClient(url).Wait(ctx, "j1")
+	if err != context.Canceled {
+		t.Fatalf("Wait = (%+v, %v), want context.Canceled", st, err)
+	}
+	if _, reads := d.counts(); reads != 0 {
+		t.Errorf("status read %d times after the context ended, want 0", reads)
 	}
 }

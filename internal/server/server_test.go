@@ -79,7 +79,6 @@ func TestSweepByteIdentityAndCache(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := client.New(ts.URL)
-	cl.PollInterval = 2 * time.Millisecond
 	ctx := context.Background()
 
 	sub, err := cl.Submit(ctx, sweepSpec())
@@ -331,7 +330,6 @@ func TestRunJobThroughHTTP(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := client.New(ts.URL)
-	cl.PollInterval = 2 * time.Millisecond
 	ctx := context.Background()
 
 	spec := server.JobSpec{Kind: server.KindRun, Size: "test", Bench: "libquantum", Machine: "core2", Level: "O3"}

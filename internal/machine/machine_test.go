@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,21 +288,26 @@ func TestProfiling(t *testing.T) {
 	if !strings.Contains(res.Profile.String(), "function") {
 		t.Error("profile table empty")
 	}
-	// Profiling must not change measured cycles vs unprofiled run.
-	m2 := New(Core2())
-	res2, err := m2.Run(img, 10_000_000)
+	// Profiling runs on the reference stepper; it must not change any
+	// measured value against an unprofiled run.
+	img2, _ := buildImage(t, compiler.Config{Level: compiler.O2}, loader.Options{}, smokeSrc)
+	res2, err := New(Core2()).Run(img2, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Note: img was consumed; rebuild for a clean comparison.
-	img3, _ := buildImage(t, compiler.Config{Level: compiler.O2}, loader.Options{}, smokeSrc)
-	res3, err := m2.Run(img3, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
+	sameMeasurement(t, "profiling", res, res2)
+}
+
+// sameMeasurement fails t unless an instrumented run's counters, output and
+// checksum equal those of an uninstrumented run of the same program.
+func sameMeasurement(t *testing.T, what string, instrumented, plain *Result) {
+	t.Helper()
+	if instrumented.Counters != plain.Counters {
+		t.Errorf("%s changed the counters:\n%+v\nwant %+v", what, instrumented.Counters, plain.Counters)
 	}
-	_ = res2
-	if res3.Counters.Cycles != res.Counters.Cycles {
-		t.Errorf("profiling changed timing: %d vs %d", res3.Counters.Cycles, res.Counters.Cycles)
+	if instrumented.Checksum != plain.Checksum || !slices.Equal(instrumented.Output, plain.Output) {
+		t.Errorf("%s changed the result: checksum %#x output %v, want %#x %v",
+			what, instrumented.Checksum, instrumented.Output, plain.Checksum, plain.Output)
 	}
 }
 
@@ -327,16 +333,15 @@ func TestTracing(t *testing.T) {
 			t.Errorf("instruction mix missing %s: %v", key, mix)
 		}
 	}
-	// Tracing must not change timing.
+	// Tracing runs on the reference stepper; it must not change any
+	// measured value.
 	m.SetTracer(nil)
 	img2, _ := buildImage(t, compiler.Config{Level: compiler.O2}, loader.Options{}, smokeSrc)
 	res2, err := m.Run(img2, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Counters.Cycles != res.Counters.Cycles {
-		t.Errorf("tracing changed timing: %d vs %d", res.Counters.Cycles, res2.Counters.Cycles)
-	}
+	sameMeasurement(t, "tracing", res, res2)
 }
 
 func TestWriterTracer(t *testing.T) {

@@ -20,13 +20,6 @@ type uop struct {
 	rs1     isa.Reg
 	rs2     isa.Reg
 	memSize uint8 // access width for loads/stores
-	// xop is the threaded engine's dispatch code: uint8(op) for a plain
-	// micro-op, or one of the fused-pair codes (see threaded.go) meaning
-	// "execute this op and the next one under a single dispatch". The plain
-	// op is always preserved alongside, so an engine that ignores xop — or a
-	// branch that lands in the middle of a fused pair — executes the same
-	// instruction stream unfused, bit-identically.
-	xop uint8
 	// tidx is the uop index of the static control-transfer target, or -1
 	// when the target leaves the text segment (the engine then defers to the
 	// stepper, which reports the fault exactly as the reference does).
@@ -98,7 +91,6 @@ func predecode(text []byte, textBase uint64, dst []uop) []uop {
 		}
 		dst[i] = u
 	}
-	fusePairs(dst)
 	return dst
 }
 

@@ -14,63 +14,15 @@ import (
 // lookup, and loop-local copies of the hot counters and model state flushed
 // once per slice. The memory-system, branch-predictor and BTB fast paths are
 // inlined with their table slices hoisted into locals, so the common all-hit
-// instruction touches no pointer chains. The hottest sequential opcode pairs
-// are additionally fused at predecode time into single dispatch handlers
-// (see fusePairs).
+// instruction touches no pointer chains.
 //
 // The engine is a pure throughput optimization: every handler charges the
-// timing model in exactly the order stepFast (and therefore stepRef) does,
-// and every irregular event — pc leaving the text segment, a misaligned
-// indirect target, instrumentation, a non-power-of-two fetch block — exits
-// the loop and defers to the per-op stepper, which reproduces the reference
-// behaviour including the exact fault message. The differential matrix test
-// holds all engines to bit-identical counters, output and checksums.
-
-// Fused-pair dispatch codes, allocated above the architectural opcode space.
-// A uop whose xop carries one of these executes itself AND its successor in
-// one dispatch; the successor's uop is untouched, so a branch into the
-// middle of a pair executes the second op standalone, bit-identically.
-const (
-	xLuiOri  = uint8(isa.NumOps) + iota // lui rd, hi ; ori rd, rd, lo
-	xXorSltu                            // xor ; sltu (compare idiom)
-	xAddiStq                            // addi ; stq
-	xAddStq                             // add ; stq
-	xStqAdd                             // stq ; add
-	xStqAddi                            // stq ; addi
-	xStqLdq                             // stq ; ldq (spill/reload, memcpy)
-)
-
-// fusePairs assigns dispatch codes: every uop gets its plain opcode, then
-// the hot sequential pairs found by opcode-census profiling of the suite
-// (ALU feeding a store, store followed by ALU or reload, 32-bit constant
-// materialization, the xor/sltu compare idiom) are annotated on their first
-// op. Fusion is machine-independent — fetch-block boundaries inside a pair
-// are handled at execution time — so the shared predecode cache stays valid
-// across machine models.
-func fusePairs(u []uop) {
-	for i := range u {
-		u[i].xop = uint8(u[i].op)
-	}
-	for i := 0; i+1 < len(u); i++ {
-		a, b := &u[i], &u[i+1]
-		switch {
-		case a.op == isa.OpLui && b.op == isa.OpOri && b.rs1 == a.rd && b.rd == a.rd:
-			a.xop = xLuiOri
-		case a.op == isa.OpXor && b.op == isa.OpSltu:
-			a.xop = xXorSltu
-		case a.op == isa.OpAddi && b.op == isa.OpStq:
-			a.xop = xAddiStq
-		case a.op == isa.OpAdd && b.op == isa.OpStq:
-			a.xop = xAddStq
-		case a.op == isa.OpStq && b.op == isa.OpAdd:
-			a.xop = xStqAdd
-		case a.op == isa.OpStq && b.op == isa.OpAddi:
-			a.xop = xStqAddi
-		case a.op == isa.OpStq && b.op == isa.OpLdq:
-			a.xop = xStqLdq
-		}
-	}
-}
+// timing model in exactly the order stepRef does, and every irregular event
+// — pc leaving the text segment, a misaligned indirect target,
+// instrumentation, a non-power-of-two fetch block, the last stretch of a
+// budget slice — exits the loop and defers to stepRef, which reproduces the
+// reference behaviour including the exact fault message. The differential
+// matrix test holds the two to bit-identical counters, output and checksums.
 
 // slowLoad executes a non-8-byte load the stepper's way (bounds, memory
 // system, sign/zero extension). Counters must be flushed before the call.
@@ -132,24 +84,24 @@ func (m *Machine) l1iRef(pc, line uint64) {
 // threadedSlack is how far runThreaded may overshoot its stop count. The
 // budget test runs at fetch-block boundaries and taken transfers instead of
 // per instruction, so the loop can run up to two blocks past stop; callers
-// subtract the slack from their true limit and let the per-op stepper walk
-// the remainder exactly.
+// subtract the slack from their true limit and let stepRef walk the
+// remainder exactly.
 const threadedSlack = 64
 
 // runThreaded executes predecoded uops until the instruction count reaches
 // stop (possibly overshooting by up to threadedSlack instructions — budget
 // checks happen at fetch-block boundaries and taken transfers, not per
 // instruction), the machine halts, execution leaves the text segment, or an
-// execution fault occurs. On exit pc and the counters are flushed so the
-// per-op stepper can continue seamlessly; fault exits return the identical
-// error the stepper would have produced.
+// execution fault occurs. On exit pc and the counters are flushed so
+// stepRef can continue seamlessly; fault exits return the identical error
+// stepRef would have produced.
 //
 // The body duplicates the data-side reference sequence of dataAccess — DTLB
 // page memo, DTLB MRU probe, L1D line memo, L1D MRU probe, split check,
 // aliasing — at each 8-byte memory handler. A memo or MRU hit is a
 // guaranteed hit that changes no replacement state, so only the statistics
 // move; anything else falls through to the exact model calls dataAccess
-// makes, keeping every engine bit-identical.
+// makes, keeping it bit-identical to stepRef.
 //
 // Requires a power-of-two fetch block (all shipped configs); callers gate on
 // m.fetchPot.
@@ -282,18 +234,18 @@ loop:
 			acc = 0
 		}
 
-		switch u.xop {
-		case uint8(isa.OpNop):
+		switch u.op {
+		case isa.OpNop:
 
-		case uint8(isa.OpAdd):
+		case isa.OpAdd:
 			regs[u.rd&31] = regs[u.rs1&31] + regs[u.rs2&31]
-		case uint8(isa.OpSub):
+		case isa.OpSub:
 			regs[u.rd&31] = regs[u.rs1&31] - regs[u.rs2&31]
-		case uint8(isa.OpMul):
+		case isa.OpMul:
 			m.counters.MulOps++
 			cycles += pen.Mul
 			m.setReg(u.rd, regs[u.rs1&31]*regs[u.rs2&31])
-		case uint8(isa.OpDiv), uint8(isa.OpRem):
+		case isa.OpDiv, isa.OpRem:
 			m.counters.DivOps++
 			cycles += pen.Div
 			if regs[u.rs2&31] == 0 {
@@ -306,48 +258,48 @@ loop:
 			} else {
 				m.setReg(u.rd, regs[u.rs1&31]%regs[u.rs2&31])
 			}
-		case uint8(isa.OpAnd):
+		case isa.OpAnd:
 			regs[u.rd&31] = regs[u.rs1&31] & regs[u.rs2&31]
-		case uint8(isa.OpOr):
+		case isa.OpOr:
 			regs[u.rd&31] = regs[u.rs1&31] | regs[u.rs2&31]
-		case uint8(isa.OpXor):
+		case isa.OpXor:
 			regs[u.rd&31] = regs[u.rs1&31] ^ regs[u.rs2&31]
-		case uint8(isa.OpSll):
+		case isa.OpSll:
 			regs[u.rd&31] = regs[u.rs1&31] << (uint64(regs[u.rs2&31]) & 63)
-		case uint8(isa.OpSrl):
+		case isa.OpSrl:
 			regs[u.rd&31] = int64(uint64(regs[u.rs1&31]) >> (uint64(regs[u.rs2&31]) & 63))
-		case uint8(isa.OpSra):
+		case isa.OpSra:
 			regs[u.rd&31] = regs[u.rs1&31] >> (uint64(regs[u.rs2&31]) & 63)
-		case uint8(isa.OpSlt):
+		case isa.OpSlt:
 			regs[u.rd&31] = b2i64(regs[u.rs1&31] < regs[u.rs2&31])
-		case uint8(isa.OpSltu):
+		case isa.OpSltu:
 			regs[u.rd&31] = b2i64(uint64(regs[u.rs1&31]) < uint64(regs[u.rs2&31]))
-		case uint8(isa.OpAddi):
+		case isa.OpAddi:
 			regs[u.rd&31] = regs[u.rs1&31] + u.imm
-		case uint8(isa.OpMuli):
+		case isa.OpMuli:
 			m.counters.MulOps++
 			cycles += pen.Mul
 			m.setReg(u.rd, regs[u.rs1&31]*u.imm)
-		case uint8(isa.OpAndi):
+		case isa.OpAndi:
 			regs[u.rd&31] = regs[u.rs1&31] & u.imm
-		case uint8(isa.OpOri):
+		case isa.OpOri:
 			regs[u.rd&31] = regs[u.rs1&31] | u.imm
-		case uint8(isa.OpXori):
+		case isa.OpXori:
 			regs[u.rd&31] = regs[u.rs1&31] ^ u.imm
-		case uint8(isa.OpSlli):
+		case isa.OpSlli:
 			regs[u.rd&31] = regs[u.rs1&31] << uint64(u.imm)
-		case uint8(isa.OpSrli):
+		case isa.OpSrli:
 			regs[u.rd&31] = int64(uint64(regs[u.rs1&31]) >> uint64(u.imm))
-		case uint8(isa.OpSrai):
+		case isa.OpSrai:
 			regs[u.rd&31] = regs[u.rs1&31] >> uint64(u.imm)
-		case uint8(isa.OpSlti):
+		case isa.OpSlti:
 			regs[u.rd&31] = b2i64(regs[u.rs1&31] < u.imm)
-		case uint8(isa.OpSltiu):
+		case isa.OpSltiu:
 			regs[u.rd&31] = b2i64(uint64(regs[u.rs1&31]) < uint64(u.imm))
-		case uint8(isa.OpLui):
+		case isa.OpLui:
 			regs[u.rd&31] = u.imm
 
-		case uint8(isa.OpLdq):
+		case isa.OpLdq:
 			addr := uint64(regs[u.rs1&31] + u.imm)
 			if addr > mem8 {
 				m.pc = textLo + uint64(i)<<2
@@ -413,14 +365,14 @@ loop:
 				regs[u.rd&31] = int64(binary.LittleEndian.Uint64(mem[addr:]))
 			}
 
-		case uint8(isa.OpLdb), uint8(isa.OpLdbu), uint8(isa.OpLdh), uint8(isa.OpLdhu), uint8(isa.OpLdw), uint8(isa.OpLdwu):
+		case isa.OpLdb, isa.OpLdbu, isa.OpLdh, isa.OpLdhu, isa.OpLdw, isa.OpLdwu:
 			m.counters.Instructions = instrs
 			if err := m.slowLoad(u, textLo+uint64(i)<<2); err != nil {
 				errOut = err
 				break loop
 			}
 
-		case uint8(isa.OpStq):
+		case isa.OpStq:
 			addr := uint64(regs[u.rs1&31] + u.imm)
 			if addr > mem8 {
 				m.pc = textLo + uint64(i)<<2
@@ -498,27 +450,27 @@ loop:
 			}
 			binary.LittleEndian.PutUint64(mem[addr:], uint64(regs[u.rs2&31]))
 
-		case uint8(isa.OpStb), uint8(isa.OpSth), uint8(isa.OpStw):
+		case isa.OpStb, isa.OpSth, isa.OpStw:
 			m.counters.Instructions = instrs
 			if err := m.slowStore(u, textLo+uint64(i)<<2); err != nil {
 				errOut = err
 				break loop
 			}
 
-		case uint8(isa.OpBeq), uint8(isa.OpBne), uint8(isa.OpBlt), uint8(isa.OpBge), uint8(isa.OpBltu), uint8(isa.OpBgeu):
+		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
 			branches++
 			a, b := regs[u.rs1&31], regs[u.rs2&31]
 			var taken bool
-			switch u.xop {
-			case uint8(isa.OpBeq):
+			switch u.op {
+			case isa.OpBeq:
 				taken = a == b
-			case uint8(isa.OpBne):
+			case isa.OpBne:
 				taken = a != b
-			case uint8(isa.OpBlt):
+			case isa.OpBlt:
 				taken = a < b
-			case uint8(isa.OpBge):
+			case isa.OpBge:
 				taken = a >= b
-			case uint8(isa.OpBltu):
+			case isa.OpBltu:
 				taken = uint64(a) < uint64(b)
 			default:
 				taken = uint64(a) >= uint64(b)
@@ -588,7 +540,7 @@ loop:
 				continue
 			}
 
-		case uint8(isa.OpJmp):
+		case isa.OpJmp:
 			pc := textLo + uint64(i)<<2
 			takenB++
 			cycles += pen.TakenBranch
@@ -624,7 +576,7 @@ loop:
 			nb = int(((tb4 + uint64(i)) | fbMask4) + 1 - tb4)
 			continue
 
-		case uint8(isa.OpJal):
+		case isa.OpJal:
 			pc := textLo + uint64(i)<<2
 			next := pc + uint64(isa.InstSize)
 			m.setReg(u.rd, int64(next))
@@ -663,7 +615,7 @@ loop:
 			nb = int(((tb4 + uint64(i)) | fbMask4) + 1 - tb4)
 			continue
 
-		case uint8(isa.OpJalr):
+		case isa.OpJalr:
 			pc := textLo + uint64(i)<<2
 			next := pc + uint64(isa.InstSize)
 			target := uint64(regs[u.rs1&31])
@@ -693,7 +645,7 @@ loop:
 			nb = int(((tb4 + uint64(i)) | fbMask4) + 1 - tb4)
 			continue
 
-		case uint8(isa.OpSys):
+		case isa.OpSys:
 			m.counters.Syscalls++
 			cycles += pen.Sys
 			// The syscall may read the live cycle count (SysCycles), so the
@@ -712,297 +664,10 @@ loop:
 				break loop
 			}
 
-		case uint8(isa.OpHalt):
+		case isa.OpHalt:
 			m.halted = true
 			m.pc = textLo + uint64(i)<<2 + uint64(isa.InstSize)
 			break loop
-
-		case xLuiOri:
-			u2 := &uops[i+1]
-			v := u.imm | u2.imm
-			if i+1 == nb {
-				nb += blockStride
-				m.fetch(textLo + (uint64(i)+1)<<2)
-			}
-			instrs++
-			acc++
-			if acc >= width {
-				cycles++
-				acc = 0
-			}
-			regs[u.rd&31] = v
-			i += 2
-			continue
-
-		case xXorSltu:
-			regs[u.rd&31] = regs[u.rs1&31] ^ regs[u.rs2&31]
-			u2 := &uops[i+1]
-			if i+1 == nb {
-				nb += blockStride
-				m.fetch(textLo + (uint64(i)+1)<<2)
-			}
-			instrs++
-			acc++
-			if acc >= width {
-				cycles++
-				acc = 0
-			}
-			regs[u2.rd&31] = b2i64(uint64(regs[u2.rs1&31]) < uint64(regs[u2.rs2&31]))
-			i += 2
-			continue
-
-		case xAddiStq, xAddStq:
-			if u.xop == xAddiStq {
-				regs[u.rd&31] = regs[u.rs1&31] + u.imm
-			} else {
-				regs[u.rd&31] = regs[u.rs1&31] + regs[u.rs2&31]
-			}
-			u2 := &uops[i+1]
-			if i+1 == nb {
-				nb += blockStride
-				m.fetch(textLo + (uint64(i)+1)<<2)
-			}
-			instrs++
-			acc++
-			if acc >= width {
-				cycles++
-				acc = 0
-			}
-			addr := uint64(regs[u2.rs1&31] + u2.imm)
-			if addr > mem8 {
-				m.pc = textLo + (uint64(i)+1)<<2
-				errOut = m.fail("store at %#x out of bounds", addr)
-				break loop
-			}
-			if addr+7-textLo < textOv {
-				m.pc = textLo + (uint64(i)+1)<<2
-				errOut = m.fail("store at %#x into text segment", addr)
-				break loop
-			}
-			if page := addr >> dpageBits; page == m.lastDPage {
-				dtlbHits++
-			} else {
-				m.lastDPage = page
-				s := page & dtSetMask
-				if wi := int(s)*tlbWays + int(dtMRU[s]); dtGens[wi] == dtGen && dtPages[wi] == page {
-					dtlbHits++
-				} else if !m.dtlb.Access(addr) {
-					m.counters.DTLBMisses++
-					cycles += pen.DTLBMiss
-				}
-			}
-			line := addr >> dlineBits
-			if memoOK && line == m.lastDLine {
-				l1dHits++
-			} else {
-				if memoOK {
-					m.lastDLine = line
-				}
-				s := line & dSetMask
-				if wi := int(s)*dWays + int(dMRU[s]); dGens[wi] == dGen && dTags[wi] == line>>dSetBits {
-					l1dHits++
-				} else if !m.l1d.Access(addr) {
-					m.counters.L1DMisses++
-					if m.l2.Access(addr) {
-						cycles += pen.L1Miss
-					} else {
-						m.counters.L2Misses++
-						cycles += pen.L2Miss
-					}
-					if m.cfg.NextLinePrefetch {
-						m.l1d.Prefetch(addr + uint64(m.l1d.LineSize()))
-					}
-				}
-			}
-			if line != (addr+7)>>dlineBits {
-				m.counters.SplitAccesses++
-				cycles += pen.SplitAccess
-				m.dcacheRef(addr + 7)
-			}
-			stores++
-			if sbOn {
-				pos := m.sbPos
-				if old := sbAddrS[pos]; old != ^uint64(0) {
-					sbKC[old>>3&0x1ff]--
-				}
-				sbAddrS[pos] = addr
-				sbSeqS[pos] = instrs
-				key := addr >> 3 & 0x1ff
-				sbKS[key] = instrs
-				page := addr >> 12
-				if sbKC[key] == 0 {
-					sbKP[key] = page
-				} else if sbKP[key] != page {
-					sbKP[key] = mixedPage
-				}
-				sbKC[key]++
-				pos++
-				if pos == sbLen {
-					pos = 0
-				}
-				m.sbPos = pos
-			}
-			binary.LittleEndian.PutUint64(mem[addr:], uint64(regs[u2.rs2&31]))
-			i += 2
-			continue
-
-		case xStqAdd, xStqAddi, xStqLdq:
-			addr := uint64(regs[u.rs1&31] + u.imm)
-			if addr > mem8 {
-				m.pc = textLo + uint64(i)<<2
-				errOut = m.fail("store at %#x out of bounds", addr)
-				break loop
-			}
-			if addr+7-textLo < textOv {
-				m.pc = textLo + uint64(i)<<2
-				errOut = m.fail("store at %#x into text segment", addr)
-				break loop
-			}
-			if page := addr >> dpageBits; page == m.lastDPage {
-				dtlbHits++
-			} else {
-				m.lastDPage = page
-				s := page & dtSetMask
-				if wi := int(s)*tlbWays + int(dtMRU[s]); dtGens[wi] == dtGen && dtPages[wi] == page {
-					dtlbHits++
-				} else if !m.dtlb.Access(addr) {
-					m.counters.DTLBMisses++
-					cycles += pen.DTLBMiss
-				}
-			}
-			line := addr >> dlineBits
-			if memoOK && line == m.lastDLine {
-				l1dHits++
-			} else {
-				if memoOK {
-					m.lastDLine = line
-				}
-				s := line & dSetMask
-				if wi := int(s)*dWays + int(dMRU[s]); dGens[wi] == dGen && dTags[wi] == line>>dSetBits {
-					l1dHits++
-				} else if !m.l1d.Access(addr) {
-					m.counters.L1DMisses++
-					if m.l2.Access(addr) {
-						cycles += pen.L1Miss
-					} else {
-						m.counters.L2Misses++
-						cycles += pen.L2Miss
-					}
-					if m.cfg.NextLinePrefetch {
-						m.l1d.Prefetch(addr + uint64(m.l1d.LineSize()))
-					}
-				}
-			}
-			if line != (addr+7)>>dlineBits {
-				m.counters.SplitAccesses++
-				cycles += pen.SplitAccess
-				m.dcacheRef(addr + 7)
-			}
-			stores++
-			if sbOn {
-				pos := m.sbPos
-				if old := sbAddrS[pos]; old != ^uint64(0) {
-					sbKC[old>>3&0x1ff]--
-				}
-				sbAddrS[pos] = addr
-				sbSeqS[pos] = instrs
-				key := addr >> 3 & 0x1ff
-				sbKS[key] = instrs
-				page := addr >> 12
-				if sbKC[key] == 0 {
-					sbKP[key] = page
-				} else if sbKP[key] != page {
-					sbKP[key] = mixedPage
-				}
-				sbKC[key]++
-				pos++
-				if pos == sbLen {
-					pos = 0
-				}
-				m.sbPos = pos
-			}
-			binary.LittleEndian.PutUint64(mem[addr:], uint64(regs[u.rs2&31]))
-			u2 := &uops[i+1]
-			if i+1 == nb {
-				nb += blockStride
-				m.fetch(textLo + (uint64(i)+1)<<2)
-			}
-			instrs++
-			acc++
-			if acc >= width {
-				cycles++
-				acc = 0
-			}
-			switch u.xop {
-			case xStqAdd:
-				regs[u2.rd&31] = regs[u2.rs1&31] + regs[u2.rs2&31]
-			case xStqAddi:
-				regs[u2.rd&31] = regs[u2.rs1&31] + u2.imm
-			default: // xStqLdq
-				addr2 := uint64(regs[u2.rs1&31] + u2.imm)
-				if addr2 > mem8 {
-					m.pc = textLo + (uint64(i)+1)<<2
-					errOut = m.fail("load at %#x out of bounds", addr2)
-					break loop
-				}
-				if page := addr2 >> dpageBits; page == m.lastDPage {
-					dtlbHits++
-				} else {
-					m.lastDPage = page
-					s := page & dtSetMask
-					if wi := int(s)*tlbWays + int(dtMRU[s]); dtGens[wi] == dtGen && dtPages[wi] == page {
-						dtlbHits++
-					} else if !m.dtlb.Access(addr2) {
-						m.counters.DTLBMisses++
-						cycles += pen.DTLBMiss
-					}
-				}
-				line2 := addr2 >> dlineBits
-				if memoOK && line2 == m.lastDLine {
-					l1dHits++
-				} else {
-					if memoOK {
-						m.lastDLine = line2
-					}
-					s := line2 & dSetMask
-					if wi := int(s)*dWays + int(dMRU[s]); dGens[wi] == dGen && dTags[wi] == line2>>dSetBits {
-						l1dHits++
-					} else if !m.l1d.Access(addr2) {
-						m.counters.L1DMisses++
-						if m.l2.Access(addr2) {
-							cycles += pen.L1Miss
-						} else {
-							m.counters.L2Misses++
-							cycles += pen.L2Miss
-						}
-						if m.cfg.NextLinePrefetch {
-							m.l1d.Prefetch(addr2 + uint64(m.l1d.LineSize()))
-						}
-					}
-				}
-				if line2 != (addr2+7)>>dlineBits {
-					m.counters.SplitAccesses++
-					cycles += pen.SplitAccess
-					m.dcacheRef(addr2 + 7)
-				}
-				loads++
-				if sbOn {
-					if key := addr2 >> 3 & 0x1ff; sbKC[key] != 0 && sbKP[key] != addr2>>12 && instrs-sbKS[key] <= aliasWin {
-						if sbKP[key] != mixedPage {
-							m.counters.Alias4KStalls++
-							cycles += pen.Alias4K
-						} else {
-							m.counters.Instructions = instrs
-							m.alias4K(addr2)
-						}
-					}
-				}
-				if u2.rd != 0 {
-					regs[u2.rd&31] = int64(binary.LittleEndian.Uint64(mem[addr2:]))
-				}
-			}
-			i += 2
-			continue
 
 		default:
 			m.pc = textLo + uint64(i)<<2
@@ -1034,9 +699,10 @@ loop:
 }
 
 // runSlice advances execution until halt, fault, or Instructions >= limit.
-// The threaded engine does the bulk; the per-op stepper picks up the last
-// one or two instructions of each slice and every irregular case (entry
-// faults, off-text pc, non-power-of-two fetch blocks).
+// The threaded engine does the bulk; the reference stepper picks up the
+// last stretch of each slice and every irregular case (entry faults,
+// off-text pc, non-power-of-two fetch blocks). Instrumented runs step
+// every instruction through the reference stepper.
 func (m *Machine) runSlice(limit uint64, instrumented bool) error {
 	if instrumented {
 		for !m.halted && m.counters.Instructions < limit {
@@ -1049,7 +715,7 @@ func (m *Machine) runSlice(limit uint64, instrumented bool) error {
 	for !m.halted && m.counters.Instructions < limit {
 		// The threaded engine stops a slack short of the limit (its budget
 		// checks are per block, not per op, so it may overshoot its stop
-		// count); the per-op stepper walks the final stretch exactly.
+		// count); the stepper walks the final stretch exactly.
 		if m.fetchPot && limit-m.counters.Instructions > threadedSlack+2 {
 			if err := m.runThreaded(limit - threadedSlack); err != nil {
 				return err
@@ -1058,7 +724,7 @@ func (m *Machine) runSlice(limit uint64, instrumented bool) error {
 				break
 			}
 		}
-		if err := m.stepFast(); err != nil {
+		if err := m.stepRef(); err != nil {
 			return err
 		}
 	}

@@ -316,6 +316,16 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 		}
 		jobs = append(jobs, job)
 	}
+	// Only a run job carries env_bytes: sweeps run at the default env and
+	// randomize draws env itself, so anywhere else the value would be
+	// dropped without a word.
+	if envCh.EnvBytes != 0 {
+		for _, job := range jobs {
+			if job.Kind != server.KindRun {
+				return nil, fmt.Errorf("spec: channel \"env\" (fixed): env_bytes %d would be dropped: the file compiles to a %s job, which does not take a fixed env size", envCh.EnvBytes, job.Kind)
+			}
+		}
+	}
 	for i, job := range jobs {
 		if _, err := job.Canonicalize(); err != nil {
 			return nil, fmt.Errorf("spec: compiled job %d (%s): %w", i, job.Kind, err)

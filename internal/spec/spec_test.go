@@ -175,6 +175,8 @@ func TestCompileErrors(t *testing.T) {
 		{"inapplicable param", `{"bench": "hmmer", "channels": {"link": {"mode": "swept", "step": 8}}}`, "does not apply"},
 		{"randomized tenant pinned", `{"bench": "hmmer", "channels": {"tenant": {"mode": "randomized", "co_bench": "mcf"}}}`, "co_bench would fix the tenant"},
 		{"unknown co-runner", `{"bench": "hmmer", "channels": {"tenant": {"mode": "fixed", "co_bench": "doom"}}}`, "unknown co-runner"},
+		{"fixed env under a sweep", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"env": {"mode": "fixed", "env_bytes": 1024}, "pad": {"mode": "swept"}}}`, `channel "env" (fixed): env_bytes 1024 would be dropped: the file compiles to a sweep-pad job`},
+		{"fixed env under randomize", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"env": {"mode": "fixed", "env_bytes": 1024}, "link": {"mode": "randomized"}}}`, `channel "env" (fixed): env_bytes 1024 would be dropped: the file compiles to a randomize job`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -341,8 +341,8 @@ func (a *app) cmdRun(args []string) error {
 }
 
 // sweepFlagSpec declares the extra flags one sweep kind takes; the flag
-// names, defaults and help strings are those of the former per-kind
-// subcommands, verbatim, so collapsing them changed no behavior.
+// names and help strings are those of the former per-kind subcommands,
+// verbatim, and the defaults are Canonicalize's (server.Default*).
 type sweepFlagSpec struct {
 	step     bool   // -step (env)
 	adaptive string // -adaptive help text, "" = no such flag
@@ -370,14 +370,14 @@ func (a *app) cmdSweep(ch channels.Channel, args []string) error {
 	var orders *int
 	var coLevel *string
 	if sf.step {
-		step = fs.Uint64("step", 128, "environment-size step in bytes")
+		step = fs.Uint64("step", server.DefaultStep, "environment-size step in bytes")
 	}
 	if sf.adaptive != "" {
 		adaptive = fs.Bool("adaptive", false, sf.adaptive)
 	}
 	if sf.orders {
-		orders = fs.Int("orders", 16, "number of random link orders")
-		seed = fs.Uint64("seed", 1, "random seed")
+		orders = fs.Int("orders", server.DefaultOrders, "number of random link orders")
+		seed = fs.Uint64("seed", server.DefaultSeed, "random seed")
 	}
 	if sf.tenant {
 		coLevel = fs.String("co-level", "O2", "co-runner optimization level")
@@ -413,8 +413,8 @@ func (a *app) cmdRandomize(args []string) error {
 	fs := flag.NewFlagSet("randomize", flag.ContinueOnError)
 	benchName := benchFlag(fs)
 	machineName := machineFlag(fs)
-	n := fs.Int("n", 16, "number of randomized setups (max, when -tol is set)")
-	seed := fs.Uint64("seed", 1, "random seed")
+	n := fs.Int("n", server.DefaultN, "number of randomized setups (max, when -tol is set)")
+	seed := fs.Uint64("seed", server.DefaultSeed, "random seed")
 	tol := fs.Float64("tol", 0, "adaptive mode: stop when the 95% CI half-width falls below this (e.g. 0.005)")
 	coBench := fs.String("co-bench", "", "pin this benchmark as a fixed co-runner on the shared machine (the auditor will object)")
 	coRandom := fs.Bool("co-random", false, "randomize the co-runner over the canonical panel, idle included")

@@ -55,6 +55,7 @@ import (
 
 	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
+	"biaslab/internal/channels"
 	"biaslab/internal/compiler"
 	"biaslab/internal/core"
 	"biaslab/internal/linker"
@@ -478,12 +479,17 @@ func (a *Auditor) ruleUnrandomizedChannels(c server.JobSpec) ([]Finding, error) 
 		if !plan.Exact || len(plan.Boundaries) == 0 {
 			continue
 		}
+		// Only a channel that randomize draws can be randomized away.
+		remedy := ": a randomize job never draws the " + p.knob
+		if ch, _ := channels.ByName(p.planner); ch.Randomized {
+			remedy = " or randomize the setup"
+		}
 		fs = append(fs, Finding{
 			Rule:     p.rule,
 			Severity: server.AuditWarn,
 			Message: fmt.Sprintf(
-				"the dataflow comparator proves %s@%s is sensitive to %s (a 4-byte shift provably changes its cycle count): a fixed-layout run measures one arbitrary point of that swing; sweep the channel (kind=sweep-%s) or randomize the setup",
-				c.Bench, c.Machine, p.knob, plan.Channel),
+				"the dataflow comparator proves %s@%s is sensitive to %s (a 4-byte shift provably changes its cycle count): a fixed-layout run measures one arbitrary point of that swing; sweep the channel (kind=sweep-%s)%s",
+				c.Bench, c.Machine, p.knob, plan.Channel, remedy),
 		})
 	}
 	return fs, nil

@@ -409,12 +409,49 @@ func TestSpecFileParsing(t *testing.T) {
 		}
 	})
 
+	t.Run("bare allow rejected", func(t *testing.T) {
+		p := write("bare.json", "//audit:allow\n{}\n")
+		if _, err := audit.LoadFile(p); err == nil || !strings.Contains(err.Error(), "needs a rule id") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+
 	t.Run("unknown allow rule rejected", func(t *testing.T) {
 		p := write("bad.json", "//audit:allow not-a-rule\n{}\n")
 		if _, err := audit.LoadFile(p); err == nil || !strings.Contains(err.Error(), "unknown rule") {
 			t.Fatalf("err = %v", err)
 		}
 	})
+}
+
+// TestStoredResults: every result in the daemon's golden wire corpus,
+// whatever its payload kind, loads as one result envelope carrying its
+// spec, and audits without error.
+func TestStoredResults(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "server", "testdata", "golden", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 11 {
+		t.Fatalf("found %d golden results, want 11", len(paths))
+	}
+	for _, p := range paths {
+		ins, err := audit.LoadFile(p)
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if len(ins) != 1 || ins[0].Result == nil || ins[0].Spec.Kind != ins[0].Result.Kind {
+			t.Errorf("%s: loaded %+v, want one result envelope", p, ins)
+			continue
+		}
+		if _, err := server.RenderText(ins[0].Result); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+		if _, err := testAuditor().AuditSet(ins); err != nil {
+			t.Errorf("%s: audit: %v", p, err)
+		}
+	}
 }
 
 // TestAuditVsExecution is the consistency gate between the static auditor

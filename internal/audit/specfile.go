@@ -17,12 +17,11 @@ import (
 //
 // anywhere in the file suppresses that rule for every spec in the file —
 // still reported, no longer gating — exactly like determlint's
-// //determlint:allow. A file holds one JobSpec, an array of JobSpecs
-// (audited together, so the cross-spec rules see the whole comparison), or
-// a stored Result envelope (audited with the result-level rules too).
-
-// allowPrefix introduces a suppression directive in a spec file.
-const allowPrefix = "//audit:allow"
+// //determlint:allow. spec.StripComments reads the comments for every
+// kind of spec file; this package checks the rule ids. A file holds one
+// JobSpec, an array of JobSpecs (audited together, so the cross-spec rules
+// see the whole comparison), a declarative bias-on-demand file, or a
+// stored Result envelope (audited with the result-level rules too).
 
 // LoadFile reads a spec file into audit inputs.
 func LoadFile(path string) ([]Spec, error) {
@@ -33,12 +32,19 @@ func LoadFile(path string) ([]Spec, error) {
 	return ParseFile(path, raw)
 }
 
-// ParseFile parses spec-file bytes: strips comments, collects
-// //audit:allow directives, and detects the payload shape.
+// ParseFile parses spec-file bytes: strips comments, checks the
+// //audit:allow directives against the rule catalog, and detects the
+// payload shape.
 func ParseFile(path string, raw []byte) ([]Spec, error) {
-	stripped, allow, err := stripComments(path, raw)
+	stripped, allow, err := spec.StripComments(raw)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("audit: %s: %w", path, err)
+	}
+	for _, rule := range allow {
+		if !KnownRule(rule) {
+			return nil, fmt.Errorf("audit: %s: //audit:allow %s: unknown rule (known: %s)",
+				path, rule, strings.Join(Rules(), ", "))
+		}
 	}
 	trimmed := strings.TrimSpace(string(stripped))
 	if trimmed == "" {
@@ -79,20 +85,15 @@ func ParseFile(path string, raw []byte) ([]Spec, error) {
 		return ins, nil
 	}
 
-	// A Result envelope carries a payload alongside its spec; a bare spec
-	// does not. Sniff for the discriminating payload keys.
+	// A Result envelope carries its spec under "spec"; a JobSpec has no
+	// such field, whatever the payload kind.
 	var probe struct {
-		Run        json.RawMessage `json:"run"`
-		EnvSweep   json.RawMessage `json:"env_sweep"`
-		LinkSweep  json.RawMessage `json:"link_sweep"`
-		Randomize  json.RawMessage `json:"randomize"`
-		Experiment json.RawMessage `json:"experiment"`
+		Spec json.RawMessage `json:"spec"`
 	}
 	if err := json.Unmarshal([]byte(trimmed), &probe); err != nil {
 		return nil, fmt.Errorf("audit: %s: %w", path, err)
 	}
-	if probe.Run != nil || probe.EnvSweep != nil || probe.LinkSweep != nil ||
-		probe.Randomize != nil || probe.Experiment != nil {
+	if probe.Spec != nil {
 		res, err := server.DecodeResult([]byte(trimmed))
 		if err != nil {
 			return nil, fmt.Errorf("audit: %s: %w", path, err)
@@ -105,33 +106,4 @@ func ParseFile(path string, raw []byte) ([]Spec, error) {
 		return nil, fmt.Errorf("audit: %s: %w", path, err)
 	}
 	return []Spec{{File: path, Spec: spec, Allow: allow}}, nil
-}
-
-// stripComments removes `//` line comments (whole-line only, so string
-// values containing slashes survive) and returns the allow directives it
-// found.
-func stripComments(path string, raw []byte) ([]byte, []string, error) {
-	var out strings.Builder
-	var allow []string
-	for _, line := range strings.Split(string(raw), "\n") {
-		t := strings.TrimSpace(line)
-		if strings.HasPrefix(t, allowPrefix) {
-			rule := strings.TrimSpace(strings.TrimPrefix(t, allowPrefix))
-			if rule == "" {
-				return nil, nil, fmt.Errorf("audit: %s: %s needs a rule id", path, allowPrefix)
-			}
-			if !KnownRule(rule) {
-				return nil, nil, fmt.Errorf("audit: %s: %s %s: unknown rule (known: %s)",
-					path, allowPrefix, rule, strings.Join(Rules(), ", "))
-			}
-			allow = append(allow, rule)
-			continue
-		}
-		if strings.HasPrefix(t, "//") {
-			continue
-		}
-		out.WriteString(line)
-		out.WriteString("\n")
-	}
-	return []byte(out.String()), allow, nil
 }

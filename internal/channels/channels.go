@@ -16,8 +16,6 @@ type Channel struct {
 	// Factor is the human phrase for the perturbed factor, as the bias
 	// reports print it.
 	Factor string
-	// Param describes what a sweep of this channel varies.
-	Param string
 	// Oracle reports whether the channel is a `biaslab predict -channel`
 	// value: a static oracle or comparator predicts its sensitivity
 	// without simulating. The link channel's layout classes ride along in
@@ -26,8 +24,9 @@ type Channel struct {
 	// tenants' reference streams, which is exactly what measurement is
 	// for.
 	Oracle bool
-	// Randomized reports whether randomize jobs can treat the channel as
-	// a randomized nuisance factor.
+	// Randomized reports whether a randomize job draws the channel: env,
+	// link and pad on every setup, the tenant when the job sets
+	// co_random. The image base is never drawn; only sweep-base varies it.
 	Randomized bool
 }
 
@@ -35,16 +34,11 @@ type Channel struct {
 // allocated; callers may reorder it.
 func All() []Channel {
 	return []Channel{
-		{Name: "env", JobKind: "sweep-env", Factor: "environment size",
-			Param: "UNIX environment bytes", Oracle: true, Randomized: true},
-		{Name: "link", JobKind: "sweep-link", Factor: "link order",
-			Param: "object link permutations", Oracle: false, Randomized: true},
-		{Name: "pad", JobKind: "sweep-pad", Factor: "text padding",
-			Param: "inter-object padding bytes", Oracle: true, Randomized: true},
-		{Name: "base", JobKind: "sweep-base", Factor: "image base",
-			Param: "link-time base addresses", Oracle: true, Randomized: true},
-		{Name: "tenant", JobKind: "sweep-tenant", Factor: "co-runner",
-			Param: "co-running benchmarks", Oracle: false, Randomized: true},
+		{Name: "env", JobKind: "sweep-env", Factor: "environment size", Oracle: true, Randomized: true},
+		{Name: "link", JobKind: "sweep-link", Factor: "link order", Oracle: false, Randomized: true},
+		{Name: "pad", JobKind: "sweep-pad", Factor: "text padding", Oracle: true, Randomized: true},
+		{Name: "base", JobKind: "sweep-base", Factor: "image base", Oracle: true, Randomized: false},
+		{Name: "tenant", JobKind: "sweep-tenant", Factor: "co-runner", Oracle: false, Randomized: true},
 	}
 }
 

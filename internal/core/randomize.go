@@ -228,24 +228,14 @@ func EstimateSpeedupAdaptive(ctx context.Context, r *Runner, b *bench.Benchmark,
 
 	const batch = 4
 	for len(speedups) < maxN {
-		take := batch
-		if len(speedups)+take > maxN {
-			take = maxN - len(speedups)
-		}
-		block := make([]float64, take)
-		start := len(speedups)
-		err := ForEach(ctx, take, 0, func(ctx context.Context, i int) error {
-			sp, _, _, err := r.Speedup(ctx, b, setups[start+i], compiler.O2, compiler.O3)
-			if err != nil {
-				return err
-			}
-			block[i] = sp
-			return nil
-		})
+		end := min(len(speedups)+batch, maxN)
+		points, err := Sweep(ctx, r, b, RandomGrid(setups[len(speedups):end]), nil)
 		if err != nil {
 			return nil, err
 		}
-		speedups = append(speedups, block...)
+		for _, p := range points {
+			speedups = append(speedups, p.Speedup)
+		}
 		if len(speedups) >= minN {
 			iv := stats.TInterval(speedups, 0.95)
 			if iv.Width()/2 <= tol {

@@ -128,6 +128,16 @@ const (
 	maxN      = 4096
 )
 
+// Defaults Canonicalize gives the counts and seeds a spec leaves unset.
+// They are the only copy: the declarative spec compiler returns canonical
+// jobs, and cmd/biaslab's flags default to these constants.
+const (
+	DefaultStep   = 128 // sweep-env grid step in bytes
+	DefaultOrders = 16  // sweep-link random link orders
+	DefaultSeed   = 1   // sweep-link and randomize seed; 0 means this default
+	DefaultN      = 16  // randomize setups; n=1 would be the single-setup crime
+)
+
 // parseSize maps a spec size to the bench workload size.
 func parseSize(s string) (bench.Size, error) {
 	switch s {
@@ -234,7 +244,7 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		}
 		c.Step = spec.Step
 		if c.Step == 0 {
-			c.Step = 128
+			c.Step = DefaultStep
 		}
 		c.Adaptive = spec.Adaptive
 	case KindSweepPad, KindSweepBase:
@@ -251,14 +261,14 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		}
 		c.Orders = spec.Orders
 		if c.Orders <= 0 {
-			c.Orders = 16
+			c.Orders = DefaultOrders
 		}
 		if c.Orders > maxOrders {
 			return JobSpec{}, fmt.Errorf("orders %d exceeds the limit of %d", c.Orders, maxOrders)
 		}
 		c.Seed = spec.Seed
 		if c.Seed == 0 {
-			c.Seed = 1
+			c.Seed = DefaultSeed
 		}
 	case KindSweepTenant:
 		// The co-runner identity IS the swept factor, over the canonical
@@ -280,7 +290,7 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		}
 		c.N = spec.N
 		if c.N <= 0 {
-			c.N = 16
+			c.N = DefaultN
 		}
 		if c.N > maxN {
 			return JobSpec{}, fmt.Errorf("n %d exceeds the limit of %d", c.N, maxN)
@@ -291,7 +301,7 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		c.Tol = spec.Tol
 		c.Seed = spec.Seed
 		if c.Seed == 0 {
-			c.Seed = 1
+			c.Seed = DefaultSeed
 		}
 		if spec.CoRandom && spec.CoBench != "" {
 			return JobSpec{}, fmt.Errorf("co_random randomizes the co-runner; co_bench fixes it — pick one")

@@ -14,7 +14,7 @@
 //	  "size": "test",
 //	  "context": "serving",
 //	  "channels": {
-//	    "env":    {"mode": "swept", "step": 128},
+//	    "env":    {"mode": "randomized"},
 //	    "link":   {"mode": "randomized"},
 //	    "pad":    {"mode": "randomized"},
 //	    "base":   {"mode": "fixed"},
@@ -25,9 +25,13 @@
 //
 // Channels left out of the map are implicitly fixed at their defaults —
 // an unmentioned factor IS a fixed factor; the schema just lets you say
-// so out loud. "context" declares the deployment context the conclusion
-// claims (judged by the auditor, never measured); "audit_allow" carries
-// rule suppressions onto every compiled job.
+// so out loud. That holds under randomize too: a randomize job draws
+// exactly the channels the registry marks Randomized (the tenant only
+// when it is declared randomized, which sets co_random), so a file that
+// randomizes anything must declare that set, no more and no less.
+// "context" declares the deployment context the conclusion claims
+// (judged by the auditor, never measured); "audit_allow" carries rule
+// suppressions onto every compiled job.
 package spec
 
 import (
@@ -49,25 +53,6 @@ const (
 	ModeSwept      = "swept"
 	ModeRandomized = "randomized"
 	ModeFixed      = "fixed"
-)
-
-// CRITICAL: DEFAULT VALUES ARE EXPLICIT AND NON-ZERO. A channel block
-// that omits a parameter gets the same default the equivalent CLI flag
-// has always had — NOT the Go zero value. In particular:
-//
-//	step     128  (not 0! a zero step would be an empty sweep)
-//	orders   16   (not 0!)
-//	seed     1    (not 0! seed 0 means "default", never "zero stream")
-//	n        16   (not 0, and not 1 — n=1 is the single-setup crime)
-//	co_level "O2" (not ""! the co-runner is a program, it has a level)
-//
-// The quantum's default (tenancy.DefaultQuantum) is applied by
-// JobSpec.Canonicalize, the single place co-run defaults live.
-const (
-	DefaultStep   = 128
-	DefaultOrders = 16
-	DefaultSeed   = 1
-	DefaultN      = 16
 )
 
 // ChannelSpec is one channel block: a mode plus the channel's parameters.
@@ -116,11 +101,14 @@ type File struct {
 
 // Parse decodes one declarative spec document. Unknown fields are errors:
 // a bias experiment description with a typo in it must not silently mean
-// something else. Whole-line `//` comments are allowed, matching the
-// audit spec-file convention, and `//audit:allow <rule>` directives fold
-// into the file's audit_allow field so they ride onto every compiled job.
+// something else. Whole-line `//` comments are allowed, as in every spec
+// file (StripComments), and `//audit:allow <rule>` directives fold into
+// the file's audit_allow field so they ride onto every compiled job.
 func Parse(raw []byte) (*File, error) {
-	stripped, allow := stripComments(raw)
+	stripped, allow, err := StripComments(raw)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
+	}
 	var f File
 	dec := json.NewDecoder(bytes.NewReader(stripped))
 	dec.DisallowUnknownFields()
@@ -131,22 +119,27 @@ func Parse(raw []byte) (*File, error) {
 	return &f, nil
 }
 
-// allowPrefix introduces a suppression directive, as in audit spec files.
+// allowPrefix introduces a suppression directive.
 const allowPrefix = "//audit:allow"
 
-// stripComments drops whole-line `//` comments and collects
-// //audit:allow directives. Rule ids are not validated here — the audit
-// package owns the catalog (and imports this one, so it cannot be asked);
-// unknown ids are caught the moment the file is audited.
-func stripComments(raw []byte) ([]byte, []string) {
+// StripComments is the one reader of spec-file comments, for declarative
+// files and for the JobSpec and result files `biaslab audit` reads: it
+// drops whole-line `//` comments (so string values containing slashes
+// survive) and returns the rule ids of the //audit:allow directives. A
+// directive without a rule id is an error. The ids themselves are not
+// checked here: the audit package owns the catalog (and imports this one,
+// so it cannot be asked), and checks them when it reads a file.
+func StripComments(raw []byte) ([]byte, []string, error) {
 	var out bytes.Buffer
 	var allow []string
 	for _, line := range strings.Split(string(raw), "\n") {
 		t := strings.TrimSpace(line)
 		if strings.HasPrefix(t, allowPrefix) {
-			if rule := strings.TrimSpace(strings.TrimPrefix(t, allowPrefix)); rule != "" {
-				allow = append(allow, rule)
+			rule := strings.TrimSpace(strings.TrimPrefix(t, allowPrefix))
+			if rule == "" {
+				return nil, nil, fmt.Errorf("%s needs a rule id", allowPrefix)
 			}
+			allow = append(allow, rule)
 			continue
 		}
 		if strings.HasPrefix(t, "//") {
@@ -155,7 +148,7 @@ func stripComments(raw []byte) ([]byte, []string) {
 		out.WriteString(line)
 		out.WriteString("\n")
 	}
-	return out.Bytes(), allow
+	return out.Bytes(), allow, nil
 }
 
 // ParseFile reads and decodes path.
@@ -177,7 +170,10 @@ func IsDeclarative(raw []byte) bool {
 	var probe struct {
 		Channels json.RawMessage `json:"channels"`
 	}
-	stripped, _ := stripComments(raw)
+	stripped, _, err := StripComments(raw)
+	if err != nil {
+		return false
+	}
 	if err := json.Unmarshal(stripped, &probe); err != nil {
 		return false
 	}
@@ -191,12 +187,14 @@ func (f *File) Validate() error {
 	return err
 }
 
-// Compile lowers the declarative file into the jobs that realize it, in
-// registry order: one sweep job per swept channel, then one randomize job
-// absorbing every randomized channel, then — when nothing is swept or
-// randomized — the single fixed-setup run the file is honest enough to
-// admit to. Every compiled spec round-trips through Canonicalize here, so
-// a file that compiles is a file the daemon will accept.
+// Compile lowers the declarative file into the canonical jobs that realize
+// it, in registry order: one sweep job per swept channel, then one
+// randomize job absorbing every randomized channel, then — when nothing is
+// swept or randomized — the single fixed-setup run the file is honest
+// enough to admit to. Every default comes from Canonicalize, so a file
+// that compiles is a file the daemon will accept, and `spec expand` prints
+// exactly the jobs that are keyed and run. Only the judgment metadata
+// Canonicalize drops, context and audit_allow, is put back.
 func (f *File) Compile() ([]server.JobSpec, error) {
 	if f.Bench == "" {
 		return nil, fmt.Errorf("spec: missing bench")
@@ -228,92 +226,50 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 		}
 	}
 
+	// Each job takes every parameter the file states; checkChannel has
+	// admitted only those that apply to their channel and mode, and
+	// Canonicalize zeroes the ones a job's kind does not use.
+	envCh := f.Channels["env"]
+	tenantCh := f.Channels["tenant"]
 	base := server.JobSpec{
 		Size:        f.Size,
 		Bench:       f.Bench,
 		Machine:     f.Machine,
 		Personality: f.Personality,
-		Context:     f.Context,
-		AuditAllow:  f.AuditAllow,
+		EnvBytes:    envCh.EnvBytes,
+		// A fixed tenant under an otherwise randomized experiment is
+		// exactly what the fixed-corunner-sensitive audit rule exists to
+		// catch: compiled faithfully, not silently repaired.
+		CoBench:  tenantCh.CoBench,
+		CoLevel:  tenantCh.CoLevel,
+		Quantum:  tenantCh.Quantum,
+		CoRandom: tenantCh.Mode == ModeRandomized,
 	}
 	var jobs []server.JobSpec
 	randomized := false
 	// Registry order, not map order: compilation must be deterministic.
 	for _, reg := range channels.All() {
-		ch, ok := f.Channels[reg.Name]
-		if !ok {
-			continue // unmentioned = fixed at defaults
-		}
-		switch ch.Mode {
+		switch ch := f.Channels[reg.Name]; ch.Mode {
 		case ModeRandomized:
 			randomized = true
 		case ModeSwept:
 			job := base
 			job.Kind = reg.JobKind
-			switch reg.Name {
-			case "env":
-				job.Step = ch.Step
-				if job.Step == 0 {
-					job.Step = DefaultStep
-				}
-				job.Adaptive = ch.Adaptive
-			case "link":
-				job.Orders = ch.Orders
-				if job.Orders == 0 {
-					job.Orders = DefaultOrders
-				}
-				job.Seed = ch.Seed
-				if job.Seed == 0 {
-					job.Seed = DefaultSeed
-				}
-			case "pad", "base":
-				job.Adaptive = ch.Adaptive
-			case "tenant":
-				job.CoLevel = ch.CoLevel
-				job.Quantum = ch.Quantum
-			}
+			job.Step, job.Orders, job.Seed, job.Adaptive = ch.Step, ch.Orders, ch.Seed, ch.Adaptive
 			jobs = append(jobs, job)
 		}
 	}
-	envCh := f.Channels["env"]
-	tenantCh := f.Channels["tenant"]
 	if randomized {
 		job := base
 		job.Kind = server.KindRandomize
-		job.N = DefaultN
-		job.Seed = DefaultSeed
 		if f.Randomize != nil {
-			if f.Randomize.N != 0 {
-				job.N = f.Randomize.N
-			}
-			if f.Randomize.Seed != 0 {
-				job.Seed = f.Randomize.Seed
-			}
-			job.Tol = f.Randomize.Tol
-		}
-		if tenantCh.Mode == ModeRandomized {
-			job.CoRandom = true
-			job.CoLevel = tenantCh.CoLevel
-			job.Quantum = tenantCh.Quantum
-		} else if tenantCh.Mode == ModeFixed && tenantCh.CoBench != "" {
-			// A fixed tenant under an otherwise randomized experiment:
-			// exactly what the fixed-corunner-sensitive audit rule exists
-			// to catch. Compiled faithfully, not silently repaired.
-			job.CoBench = tenantCh.CoBench
-			job.CoLevel = tenantCh.CoLevel
-			job.Quantum = tenantCh.Quantum
+			job.N, job.Seed, job.Tol = f.Randomize.N, f.Randomize.Seed, f.Randomize.Tol
 		}
 		jobs = append(jobs, job)
 	} else if len(jobs) == 0 {
 		// Nothing swept, nothing randomized: one fixed-setup run.
 		job := base
 		job.Kind = server.KindRun
-		job.EnvBytes = envCh.EnvBytes
-		if tenantCh.CoBench != "" {
-			job.CoBench = tenantCh.CoBench
-			job.CoLevel = tenantCh.CoLevel
-			job.Quantum = tenantCh.Quantum
-		}
 		jobs = append(jobs, job)
 	}
 	// Only a run job carries env_bytes: sweeps run at the default env and
@@ -326,10 +282,31 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 			}
 		}
 	}
+	// A randomize job draws exactly the channels the registry marks
+	// Randomized, the tenant only under co_random. A file that declares a
+	// different randomized set would report an experiment it did not run.
+	if randomized {
+		for _, reg := range channels.All() {
+			mode := f.Channels[reg.Name].Mode
+			drawn := reg.Randomized && (reg.Name != "tenant" || base.CoRandom)
+			switch {
+			case mode == ModeRandomized && !drawn:
+				return nil, fmt.Errorf("spec: channel %q (randomized): a randomize job never draws the %s; sweep it or declare it fixed", reg.Name, reg.Factor)
+			case mode != ModeRandomized && drawn:
+				if mode == "" {
+					mode = "unmentioned, so fixed"
+				}
+				return nil, fmt.Errorf("spec: channel %q (%s): a randomize job draws the %s on every setup; declare it randomized", reg.Name, mode, reg.Factor)
+			}
+		}
+	}
 	for i, job := range jobs {
-		if _, err := job.Canonicalize(); err != nil {
+		c, err := job.Canonicalize()
+		if err != nil {
 			return nil, fmt.Errorf("spec: compiled job %d (%s): %w", i, job.Kind, err)
 		}
+		c.Context, c.AuditAllow = f.Context, f.AuditAllow
+		jobs[i] = c
 	}
 	return jobs, nil
 }

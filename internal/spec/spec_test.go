@@ -1,6 +1,7 @@
 package spec_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -52,6 +53,38 @@ func TestParseCommentsAndAllow(t *testing.T) {
 	}
 }
 
+// TestParseBareAllow: a directive that names no rule suppresses nothing,
+// so it is an error here exactly as it is for `biaslab audit`.
+func TestParseBareAllow(t *testing.T) {
+	raw := append([]byte("//audit:allow\n"), minimal(`"env": {"mode": "swept"}`)...)
+	if _, err := spec.Parse(raw); err == nil || !strings.Contains(err.Error(), "needs a rule id") {
+		t.Fatalf("Parse = %v, want a missing rule id error", err)
+	}
+}
+
+// TestCompileIsCanonical: every compiled job is already canonical, with
+// only the judgment metadata Canonicalize drops put back.
+func TestCompileIsCanonical(t *testing.T) {
+	var jobs []server.JobSpec
+	for _, chans := range []string{
+		randomizedSet + `, "tenant": {"mode": "randomized"}`,
+		`"env": {"mode": "swept"}, "link": {"mode": "swept", "orders": 4}, "pad": {"mode": "swept"}, "base": {"mode": "swept", "adaptive": true}, "tenant": {"mode": "swept"}`,
+		`"env": {"mode": "fixed"}`,
+	} {
+		jobs = append(jobs, mustCompile(t, []byte(`{"bench": "hmmer", "context": "serving", "audit_allow": ["single-setup"], "channels": {`+chans+`}}`))...)
+	}
+	for _, j := range jobs {
+		c, err := j.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Context, c.AuditAllow = "serving", []string{"single-setup"}
+		if !reflect.DeepEqual(c, j) {
+			t.Errorf("compiled %s job is not canonical:\n got %+v\nwant %+v", j.Kind, j, c)
+		}
+	}
+}
+
 // TestParseUnknownField: a typo must be an error, never silently ignored.
 func TestParseUnknownField(t *testing.T) {
 	_, err := spec.Parse([]byte(`{"bench": "hmmer", "chanels": {}}`))
@@ -76,7 +109,7 @@ func TestIsDeclarative(t *testing.T) {
 }
 
 // TestCompileSweptOrder: one sweep job per swept channel, emitted in
-// registry order regardless of map order, with the CLI's historical
+// registry order regardless of map order, canonical: Canonicalize's
 // defaults filled in explicitly.
 func TestCompileSweptOrder(t *testing.T) {
 	jobs := mustCompile(t, minimal(
@@ -89,20 +122,27 @@ func TestCompileSweptOrder(t *testing.T) {
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Fatalf("kinds = %v, want %v (registry order)", kinds, want)
 	}
-	if jobs[0].Step != spec.DefaultStep {
-		t.Errorf("env step = %d, want default %d", jobs[0].Step, spec.DefaultStep)
+	if jobs[0].Step != server.DefaultStep {
+		t.Errorf("env step = %d, want default %d", jobs[0].Step, server.DefaultStep)
 	}
-	if jobs[1].Orders != spec.DefaultOrders || jobs[1].Seed != spec.DefaultSeed {
+	if jobs[1].Orders != server.DefaultOrders || jobs[1].Seed != server.DefaultSeed {
 		t.Errorf("link orders/seed = %d/%d, want defaults %d/%d",
-			jobs[1].Orders, jobs[1].Seed, spec.DefaultOrders, spec.DefaultSeed)
+			jobs[1].Orders, jobs[1].Seed, server.DefaultOrders, server.DefaultSeed)
+	}
+	if jobs[2].CoLevel != "O2" || jobs[2].Quantum != tenancy.DefaultQuantum {
+		t.Errorf("tenant co_level/quantum = %q/%d, want defaults O2/%d",
+			jobs[2].CoLevel, jobs[2].Quantum, tenancy.DefaultQuantum)
 	}
 }
 
-// TestCompileRandomized: any randomized channel produces exactly one
+// randomizedSet declares the channels every randomize job draws.
+const randomizedSet = `"env": {"mode": "randomized"}, "link": {"mode": "randomized"}, "pad": {"mode": "randomized"}`
+
+// TestCompileRandomized: the randomized channels produce exactly one
 // randomize job; a randomized tenant sets co_random on it.
 func TestCompileRandomized(t *testing.T) {
 	jobs := mustCompile(t, minimal(
-		`"env": {"mode": "randomized"}, "tenant": {"mode": "randomized", "quantum": 1024}`))
+		randomizedSet+`, "tenant": {"mode": "randomized", "quantum": 1024}`))
 	if len(jobs) != 1 {
 		t.Fatalf("got %d jobs, want 1", len(jobs))
 	}
@@ -110,18 +150,14 @@ func TestCompileRandomized(t *testing.T) {
 	if j.Kind != server.KindRandomize || !j.CoRandom {
 		t.Fatalf("job = %+v, want randomize with co_random", j)
 	}
-	if j.N != spec.DefaultN || j.Seed != spec.DefaultSeed {
-		t.Errorf("n/seed = %d/%d, want defaults %d/%d", j.N, j.Seed, spec.DefaultN, spec.DefaultSeed)
+	if j.N != server.DefaultN || j.Seed != server.DefaultSeed {
+		t.Errorf("n/seed = %d/%d, want defaults %d/%d", j.N, j.Seed, server.DefaultN, server.DefaultSeed)
 	}
 	if j.Quantum != 1024 {
 		t.Errorf("quantum = %d, want 1024", j.Quantum)
 	}
-	c, err := j.Canonicalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.CoLevel != "O2" {
-		t.Errorf("canonical co_level = %q, want O2", c.CoLevel)
+	if j.CoLevel != "O2" {
+		t.Errorf("co_level = %q, want O2", j.CoLevel)
 	}
 }
 
@@ -130,7 +166,7 @@ func TestCompileRandomized(t *testing.T) {
 // to flag, not the compiler's to repair.
 func TestCompileFixedTenantOnRandomize(t *testing.T) {
 	jobs := mustCompile(t, minimal(
-		`"env": {"mode": "randomized"}, "tenant": {"mode": "fixed", "co_bench": "milc"}`))
+		randomizedSet+`, "tenant": {"mode": "fixed", "co_bench": "milc"}`))
 	if len(jobs) != 1 || jobs[0].CoBench != "milc" || jobs[0].CoRandom {
 		t.Fatalf("jobs = %+v, want one randomize job with co_bench=milc", jobs)
 	}
@@ -148,12 +184,8 @@ func TestCompileAllFixed(t *testing.T) {
 	if j.Kind != server.KindRun || j.EnvBytes != 768 || j.CoBench != "lbm" {
 		t.Fatalf("job = %+v, want run with env_bytes=768 co_bench=lbm", j)
 	}
-	c, err := j.Canonicalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Quantum != tenancy.DefaultQuantum {
-		t.Errorf("canonical quantum = %d, want default %d", c.Quantum, tenancy.DefaultQuantum)
+	if j.Quantum != tenancy.DefaultQuantum {
+		t.Errorf("quantum = %d, want default %d", j.Quantum, tenancy.DefaultQuantum)
 	}
 }
 
@@ -177,6 +209,8 @@ func TestCompileErrors(t *testing.T) {
 		{"unknown co-runner", `{"bench": "hmmer", "channels": {"tenant": {"mode": "fixed", "co_bench": "doom"}}}`, "unknown co-runner"},
 		{"fixed env under a sweep", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"env": {"mode": "fixed", "env_bytes": 1024}, "pad": {"mode": "swept"}}}`, `channel "env" (fixed): env_bytes 1024 would be dropped: the file compiles to a sweep-pad job`},
 		{"fixed env under randomize", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"env": {"mode": "fixed", "env_bytes": 1024}, "link": {"mode": "randomized"}}}`, `channel "env" (fixed): env_bytes 1024 would be dropped: the file compiles to a randomize job`},
+		{"base randomized", `{"bench": "mcf", "channels": {` + randomizedSet + `, "base": {"mode": "randomized"}}}`, `channel "base" (randomized): a randomize job never draws the image base`},
+		{"only link randomized", `{"bench": "mcf", "channels": {"link": {"mode": "randomized"}}}`, `channel "env" (unmentioned, so fixed): a randomize job draws the environment size on every setup`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

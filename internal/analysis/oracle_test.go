@@ -106,16 +106,20 @@ func TestOracleCrossValidation(t *testing.T) {
 					t.Fatalf("xval config %s was meant to be pressure-free", cfg.Name)
 				}
 
-				// Measured sweep: raw cycles at each env size, single level.
+				// Measured sweep: raw cycles at each env size, single level,
+				// on every core.
 				cycles := make([]uint64, len(sizes))
-				for i, sz := range sizes {
+				if err := core.ForEach(ctx, len(sizes), 0, func(ctx context.Context, i int) error {
 					s := setup
-					s.EnvBytes = sz
+					s.EnvBytes = sizes[i]
 					m, err := r.Measure(ctx, b, s)
 					if err != nil {
-						t.Fatal(err)
+						return err
 					}
 					cycles[i] = m.Cycles
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
 				var measured []uint64
 				for i := 1; i < len(sizes); i++ {

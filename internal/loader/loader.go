@@ -11,6 +11,7 @@
 package loader
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -164,34 +165,70 @@ type Image struct {
 	Exe *linker.Executable
 }
 
-// memPools recycles image buffers across runs, one pool per buffer size,
-// so the 16 MiB solo geometry and the 32 MiB co-runner geometry are both
-// recycled and a Load never receives a buffer of another size. Every
-// buffer in a pool is fully zero — the pool allocates zeroed memory and
-// Release clears before returning — so a pooled Load starts from exactly
-// the state a fresh allocation would, preserving bit-identical execution.
+// Image buffers are recycled across runs through a free list per buffer
+// size, so the 16 MiB solo geometry and the 32 MiB co-runner geometry are
+// both recycled and a Load never receives a buffer of another size. Every
+// buffer on a list is fully zero — a new buffer is zeroed memory and
+// Release clears every byte a run wrote — so a recycled Load starts from
+// exactly the state a fresh allocation would, preserving bit-identical
+// execution.
+//
+// The lists, unlike a sync.Pool, survive garbage collection: a dropped
+// buffer would be freed and its span zeroed again, page by page, by the
+// next allocation. They need no bound: Load allocates only when the list
+// is empty, so a list never holds more buffers than were once in use at
+// the same time.
 var (
-	memPoolsMu sync.Mutex
-	memPools   = map[uint64]*sync.Pool{}
+	freeMu   sync.Mutex
+	freeBufs = map[uint64][][]byte{}
 )
 
-// memPool returns the buffer pool for images of size bytes.
-func memPool(size uint64) *sync.Pool {
-	memPoolsMu.Lock()
-	defer memPoolsMu.Unlock()
-	p, ok := memPools[size]
-	if !ok {
-		p = &sync.Pool{New: func() any {
-			b := make([]byte, size)
-			return &b
-		}}
-		memPools[size] = p
+// clearChunk is the granularity at which Release looks for written bytes:
+// one 4 KiB page. A page no run wrote is only read, never written, so a
+// buffer's untouched pages stay backed by the kernel's shared zero page and
+// add nothing to the process's resident memory.
+const clearChunk = 4 << 10
+
+var zeroChunk [clearChunk]byte
+
+// getBuf returns a zeroed buffer of size bytes, recycled when one is free.
+func getBuf(size uint64) []byte {
+	freeMu.Lock()
+	list := freeBufs[size]
+	if n := len(list); n > 0 {
+		mem := list[n-1]
+		list[n-1] = nil
+		freeBufs[size] = list[:n-1]
+		freeMu.Unlock()
+		return mem
 	}
-	return p
+	freeMu.Unlock()
+	return make([]byte, size)
 }
 
-// Release returns the image's memory buffer to the loader's pool for its
-// size and detaches it from the image. Call it only when the run is
+// putBuf puts a zeroed buffer on the free list for its size.
+func putBuf(mem []byte) {
+	size := uint64(len(mem))
+	freeMu.Lock()
+	defer freeMu.Unlock()
+	freeBufs[size] = append(freeBufs[size], mem)
+}
+
+// clearWritten zeroes mem by clearing each chunk that holds a nonzero
+// byte. Comparing with a zero chunk finds every such byte whoever wrote
+// it, so the result is exactly clear(mem) without writing, and so without
+// faulting in, the pages that are already zero.
+func clearWritten(mem []byte) {
+	for off := 0; off < len(mem); off += clearChunk {
+		c := mem[off:min(off+clearChunk, len(mem))]
+		if !bytes.Equal(c, zeroChunk[:len(c)]) {
+			clear(c)
+		}
+	}
+}
+
+// Release returns the image's memory buffer to the loader's free list for
+// its size and detaches it from the image. Call it only when the run is
 // complete and nothing retains img.Mem.
 func (img *Image) Release() {
 	mem := img.Mem
@@ -199,8 +236,8 @@ func (img *Image) Release() {
 	if mem == nil {
 		return
 	}
-	clear(mem)
-	memPool(uint64(len(mem))).Put(&mem)
+	clearWritten(mem)
+	putBuf(mem)
 }
 
 // InitialSP computes the initial stack pointer Load would hand the machine
@@ -265,7 +302,7 @@ func Load(exe *linker.Executable, opts Options) (*Image, error) {
 			ErrStackOverflow, need, avail, stackTop)
 	}
 
-	mem := *memPool(memSize).Get().(*[]byte)
+	mem := getBuf(memSize)
 	copy(mem[exe.TextBase:], exe.Text)
 	copy(mem[exe.DataBase:], exe.Data)
 	// BSS is already zero.

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"biaslab/internal/bench"
@@ -272,13 +273,36 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 		job.Kind = server.KindRun
 		jobs = append(jobs, job)
 	}
-	// Only a run job carries env_bytes: sweeps run at the default env and
-	// randomize draws env itself, so anywhere else the value would be
-	// dropped without a word.
-	if envCh.EnvBytes != 0 {
-		for _, job := range jobs {
-			if job.Kind != server.KindRun {
-				return nil, fmt.Errorf("spec: channel \"env\" (fixed): env_bytes %d would be dropped: the file compiles to a %s job, which does not take a fixed env size", envCh.EnvBytes, job.Kind)
+	for i, job := range jobs {
+		c, err := job.Canonicalize()
+		if err != nil {
+			return nil, fmt.Errorf("spec: compiled job %d (%s): %w", i, job.Kind, err)
+		}
+		c.Context, c.AuditAllow = f.Context, f.AuditAllow
+		jobs[i] = c
+	}
+	// A fixed parameter must reach every job; Canonicalize zeroes the ones
+	// a job's kind does not take. Only a run job carries env_bytes (sweeps
+	// run at the default env, randomize draws env itself), and the env,
+	// pad, base and link sweeps, like any job without a co_bench, measure
+	// an idle machine. Checked before the randomized set, so a fixed env
+	// under randomize is named as a dropped env_bytes. A swept or
+	// randomized tenant's co_level and quantum go to the jobs that draw
+	// co-runners and are not checked here.
+	fixedTenant := tenantCh.Mode == ModeFixed
+	for _, job := range jobs {
+		for _, p := range []struct {
+			channel, name string
+			val           any
+			set, kept     bool
+		}{
+			{"env", "env_bytes", envCh.EnvBytes, envCh.EnvBytes != 0, job.EnvBytes == envCh.EnvBytes},
+			{"tenant", "co_bench", strconv.Quote(tenantCh.CoBench), fixedTenant && tenantCh.CoBench != "", job.CoBench == tenantCh.CoBench},
+			{"tenant", "co_level", strconv.Quote(tenantCh.CoLevel), fixedTenant && tenantCh.CoLevel != "", job.CoLevel == tenantCh.CoLevel},
+			{"tenant", "quantum", tenantCh.Quantum, fixedTenant && tenantCh.Quantum != 0, job.Quantum == tenantCh.Quantum},
+		} {
+			if p.set && !p.kept {
+				return nil, fmt.Errorf("spec: channel %q (fixed): %s %v would be dropped: the file compiles to a %s job, which does not take it", p.channel, p.name, p.val, job.Kind)
 			}
 		}
 	}
@@ -299,14 +323,6 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 				return nil, fmt.Errorf("spec: channel %q (%s): a randomize job draws the %s on every setup; declare it randomized", reg.Name, mode, reg.Factor)
 			}
 		}
-	}
-	for i, job := range jobs {
-		c, err := job.Canonicalize()
-		if err != nil {
-			return nil, fmt.Errorf("spec: compiled job %d (%s): %w", i, job.Kind, err)
-		}
-		c.Context, c.AuditAllow = f.Context, f.AuditAllow
-		jobs[i] = c
 	}
 	return jobs, nil
 }

@@ -208,6 +208,8 @@ func TestCompileErrors(t *testing.T) {
 		{"randomized tenant pinned", `{"bench": "hmmer", "channels": {"tenant": {"mode": "randomized", "co_bench": "mcf"}}}`, "co_bench would fix the tenant"},
 		{"unknown co-runner", `{"bench": "hmmer", "channels": {"tenant": {"mode": "fixed", "co_bench": "doom"}}}`, "unknown co-runner"},
 		{"fixed env under a sweep", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"env": {"mode": "fixed", "env_bytes": 1024}, "pad": {"mode": "swept"}}}`, `channel "env" (fixed): env_bytes 1024 would be dropped: the file compiles to a sweep-pad job`},
+		{"fixed tenant under a sweep", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"tenant": {"mode": "fixed", "co_bench": "lbm"}, "env": {"mode": "swept"}}}`, `channel "tenant" (fixed): co_bench "lbm" would be dropped: the file compiles to a sweep-env job`},
+		{"tenant level without a co-runner", `{"bench": "mcf", "channels": {"tenant": {"mode": "fixed", "co_level": "O3"}}}`, `channel "tenant" (fixed): co_level "O3" would be dropped: the file compiles to a run job`},
 		{"fixed env under randomize", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"env": {"mode": "fixed", "env_bytes": 1024}, "link": {"mode": "randomized"}}}`, `channel "env" (fixed): env_bytes 1024 would be dropped: the file compiles to a randomize job`},
 		{"base randomized", `{"bench": "mcf", "channels": {` + randomizedSet + `, "base": {"mode": "randomized"}}}`, `channel "base" (randomized): a randomize job never draws the image base`},
 		{"only link randomized", `{"bench": "mcf", "channels": {"link": {"mode": "randomized"}}}`, `channel "env" (unmentioned, so fixed): a randomize job draws the environment size on every setup`},

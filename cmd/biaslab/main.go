@@ -361,6 +361,16 @@ var sweepFlagSpecs = map[string]sweepFlagSpec{
 // cmdSweep is the one sweep subcommand behind every channel in the
 // registry: registry entry in, job spec out.
 func (a *app) cmdSweep(ch channels.Channel, args []string) error {
+	fs, spec := sweepFlags(ch, a.size.String())
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	return a.runSpec(spec())
+}
+
+// sweepFlags declares the flags of ch's sweep subcommand; once fs has
+// parsed them, spec returns the job they describe.
+func sweepFlags(ch channels.Channel, size string) (*flag.FlagSet, func() server.JobSpec) {
 	sf := sweepFlagSpecs[ch.Name]
 	fs := flag.NewFlagSet(ch.JobKind, flag.ContinueOnError)
 	benchName := benchFlag(fs)
@@ -383,30 +393,29 @@ func (a *app) cmdSweep(ch channels.Channel, args []string) error {
 		coLevel = fs.String("co-level", "O2", "co-runner optimization level")
 		quantum = fs.Uint64("quantum", 0, "interleave quantum in retired instructions (0 = engine default)")
 	}
-	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+	return fs, func() server.JobSpec {
+		spec := server.JobSpec{
+			Kind:    ch.JobKind,
+			Size:    size,
+			Bench:   *benchName,
+			Machine: *machineName,
+		}
+		if step != nil {
+			spec.Step = *step
+		}
+		if adaptive != nil {
+			spec.Adaptive = *adaptive
+		}
+		if orders != nil {
+			spec.Orders = *orders
+			spec.Seed = *seed
+		}
+		if coLevel != nil {
+			spec.CoLevel = *coLevel
+			spec.Quantum = *quantum
+		}
+		return spec
 	}
-	spec := server.JobSpec{
-		Kind:    ch.JobKind,
-		Size:    a.size.String(),
-		Bench:   *benchName,
-		Machine: *machineName,
-	}
-	if step != nil {
-		spec.Step = *step
-	}
-	if adaptive != nil {
-		spec.Adaptive = *adaptive
-	}
-	if orders != nil {
-		spec.Orders = *orders
-		spec.Seed = *seed
-	}
-	if coLevel != nil {
-		spec.CoLevel = *coLevel
-		spec.Quantum = *quantum
-	}
-	return a.runSpec(spec)
 }
 
 func (a *app) cmdRandomize(args []string) error {

@@ -488,10 +488,16 @@ func transitionProof(cfg machine.Config, a *ChannelLayout, d layoutDeltas) strin
 	flip := func(target uint64, delta int64) bool {
 		return (target%16 == 0) != (uint64(int64(target)+delta)%16 == 0)
 	}
+	// Address order, not map order: the first proof found is the reason
+	// `biaslab predict` prints, so it must not change between runs.
+	var musts []uint64
 	for addr, must := range a.Info.MustExec {
-		if !must {
-			continue
+		if must {
+			musts = append(musts, addr)
 		}
+	}
+	sort.Slice(musts, func(i, j int) bool { return musts[i] < musts[j] })
+	for _, addr := range musts {
 		fi := a.Info.Funcs[addr]
 		if fi == nil {
 			continue

@@ -10,14 +10,13 @@ import (
 
 	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
-	"biaslab/internal/channels"
 	"biaslab/internal/cmini"
 	"biaslab/internal/compiler"
 	"biaslab/internal/core"
 	"biaslab/internal/linker"
-	"biaslab/internal/loader"
 	"biaslab/internal/machine"
 	"biaslab/internal/report"
+	"biaslab/internal/server"
 )
 
 // cmdVet lints cmini programs: the shipped benchmark sources by default,
@@ -109,7 +108,14 @@ func (a *app) cmdPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
 	benchName := benchFlag(fs)
 	machineName := machineFlag(fs)
-	channel := fs.String("channel", "env", "prediction channel: "+strings.Join(channels.OracleNames(), ", "))
+	var oracles []string
+	for _, ch := range server.Channels() {
+		if ch.Plan != nil {
+			oracles = append(oracles, ch.Name)
+		}
+	}
+	predictable := strings.Join(oracles, ", ")
+	channel := fs.String("channel", "env", "prediction channel: "+predictable)
 	step := fs.Uint64("step", 8, "environment-size grid step in bytes (channel env)")
 	maxEnv := fs.Uint64("max-env", 2048, "largest environment size on the grid (channel env)")
 	perms := fs.Int("perms", 24, "link permutations to enumerate (cap)")
@@ -118,16 +124,17 @@ func (a *app) cmdPredict(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
-	if ch, ok := channels.ByName(*channel); !ok || !ch.Oracle {
-		// The registry decides what predict can analyze. The tenant channel
-		// is registered but deliberately not predictable: shared-state
-		// displacement depends on both tenants' dynamic reference streams,
-		// so the honest answer is UNKNOWN — measure it (sweep-tenant).
+	ch, ok := server.ChannelByName(*channel)
+	if !ok || ch.Plan == nil {
+		// A channel without a planner is deliberately not predictable: the
+		// tenant channel's shared-state displacement depends on both
+		// tenants' dynamic reference streams, so the honest answer is
+		// UNKNOWN — measure it (sweep-tenant).
 		if ok {
 			return usageErrorf("channel %q has no static oracle (co-run interference is UNKNOWN until measured; use 'biaslab %s'); predictable channels: %s",
-				*channel, ch.JobKind, strings.Join(channels.OracleNames(), ", "))
+				*channel, ch.JobKind, predictable)
 		}
-		return usageErrorf("unknown channel %q: use %s", *channel, strings.Join(channels.OracleNames(), ", "))
+		return usageErrorf("unknown channel %q: use %s", *channel, predictable)
 	}
 	b, err := lookupBench(*benchName)
 	if err != nil {
@@ -137,6 +144,26 @@ func (a *app) cmdPredict(args []string) error {
 	if !ok {
 		return usageErrorf("unknown machine %q (try 'biaslab list')", *machineName)
 	}
+	// The env grid comes from -step and -max-env; a code-layout channel
+	// is analyzed over its canonical grid.
+	var values []uint64
+	if *step == 0 {
+		*step = 8
+	}
+	for e := uint64(24); e <= *maxEnv; e += *step {
+		values = append(values, e)
+	}
+	if ch.Scalar != nil {
+		values = ch.Scalar.Values()
+	}
+	setup := core.DefaultSetup(*machineName)
+	if *icc {
+		setup.Compiler.Personality = compiler.ICC
+	}
+	if *o3 {
+		setup = setup.WithLevel(compiler.O3)
+	}
+	r := core.NewRunner(bench.Size(a.size))
 
 	if a.jsonOut {
 		// Emit the measurement plan for an adaptive sweep of the selected
@@ -144,27 +171,7 @@ func (a *app) cmdPredict(args []string) error {
 		// the adaptive sweep calls, so what this command prints is exactly
 		// what the planner consumes. -O3 is moot here (the plan always
 		// covers both levels).
-		setup := core.DefaultSetup(*machineName)
-		if *icc {
-			setup.Compiler.Personality = compiler.ICC
-		}
-		r := core.NewRunner(bench.Size(a.size))
-		var plan *analysis.EnvPlan
-		switch *channel {
-		case "pad":
-			plan, err = core.PlanPadSweep(r, b, setup, core.DefaultPadSizes())
-		case "base":
-			plan, err = core.PlanBaseSweep(r, b, setup, core.DefaultTextBases())
-		default:
-			var sizes []uint64
-			if *step == 0 {
-				*step = 8
-			}
-			for e := uint64(24); e <= *maxEnv; e += *step {
-				sizes = append(sizes, e)
-			}
-			plan, err = core.PlanEnvSweep(r, b, setup, sizes)
-		}
+		plan, err := ch.Plan(r, b, setup, values)
 		if err != nil {
 			return err
 		}
@@ -176,12 +183,20 @@ func (a *app) cmdPredict(args []string) error {
 		return nil
 	}
 
-	ccfg := compiler.Config{Level: compiler.O2}
-	if *o3 {
-		ccfg.Level = compiler.O3
-	}
-	if *icc {
-		ccfg.Personality = compiler.ICC
+	if sc := ch.Scalar; sc != nil {
+		// Code channels: the comparator's pairwise verdicts for the compiled
+		// level, over exactly the executables the sweep measures.
+		cm, err := core.ChannelConflictMap(r, b, sc.Grid(setup, values), setup, values, setup.Compiler.Level)
+		if err != nil {
+			return err
+		}
+		if a.csv {
+			fmt.Print(report.ChannelMapCSV(cm))
+			return nil
+		}
+		fmt.Printf("bias oracle: %s compiled %s, machine %s (%s workload)\n\n", b.Name, setup.Compiler, *machineName, a.size)
+		fmt.Print(report.ChannelMapText(cm))
+		return nil
 	}
 
 	var sources []compiler.Source
@@ -190,46 +205,10 @@ func (a *app) cmdPredict(args []string) error {
 		sources = append(sources, compiler.Source{Name: s.Name, Text: s.Text})
 		objNames = append(objNames, s.Name)
 	}
-	objs, prog, err := compiler.Compile(sources, ccfg)
+	objs, prog, err := compiler.Compile(sources, setup.Compiler)
 	if err != nil {
 		return err
 	}
-
-	if *channel != "env" {
-		// Code channels: link the executable at every grid value, analyze
-		// the family (one dataflow pass, relocated to the other layouts),
-		// and print the comparator's pairwise verdicts for the compiled
-		// level.
-		values := core.DefaultPadSizes()
-		linkOpts := func(v uint64) linker.Options { return linker.Options{PadObjects: v} }
-		if *channel == "base" {
-			values = core.DefaultTextBases()
-			linkOpts = func(v uint64) linker.Options { return linker.Options{TextBase: v} }
-		}
-		exes := make([]*linker.Executable, len(values))
-		for i, v := range values {
-			if exes[i], err = linker.Link(objs, linkOpts(v)); err != nil {
-				return err
-			}
-		}
-		layouts, err := analysis.NewChannelLayouts(values, exes, prog)
-		if err != nil {
-			return err
-		}
-		sp := loader.InitialSP(loader.Options{
-			Env:  loader.SyntheticEnv(core.DefaultEnvBytes),
-			Args: []string{b.Name},
-		})
-		cm := analysis.BuildChannelConflictMap(b.Name, *machineName, *channel, cfg, sp, layouts)
-		if a.csv {
-			fmt.Print(report.ChannelMapCSV(cm))
-			return nil
-		}
-		fmt.Printf("bias oracle: %s compiled %s, machine %s (%s workload)\n\n", b.Name, ccfg, *machineName, a.size)
-		fmt.Print(report.ChannelMapText(cm))
-		return nil
-	}
-
 	exe, err := linker.Link(objs, linker.Options{})
 	if err != nil {
 		return err
@@ -239,14 +218,7 @@ func (a *app) cmdPredict(args []string) error {
 		return err
 	}
 
-	var sizes []uint64
-	if *step == 0 {
-		*step = 8
-	}
-	for e := uint64(24); e <= *maxEnv; e += *step {
-		sizes = append(sizes, e)
-	}
-	cm := o.ConflictMap(b.Name, *machineName, sizes)
+	cm := o.ConflictMap(b.Name, *machineName, values)
 
 	lm, err := analysis.BuildLinkOrderMap(objs, cfg, linker.Options{}, *perms)
 	if err != nil {
@@ -257,7 +229,7 @@ func (a *app) cmdPredict(args []string) error {
 		fmt.Print(report.ConflictMapCSV(cm))
 		return nil
 	}
-	fmt.Printf("bias oracle: %s compiled %s, machine %s (%s workload)\n", b.Name, ccfg, *machineName, a.size)
+	fmt.Printf("bias oracle: %s compiled %s, machine %s (%s workload)\n", b.Name, setup.Compiler, *machineName, a.size)
 	fmt.Printf("stack footprint: %d intervals, max depth %d bytes\n\n", len(o.Foot.Intervals), o.Foot.MaxDepth)
 	fmt.Print(report.ConflictMapText(cm))
 	fmt.Println()

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"biaslab/internal/channels"
+	"biaslab/internal/server"
 )
 
 var update = flag.Bool("update", false, "rewrite the CLI golden files under testdata/golden")
@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite the CLI golden files under test
 // and review the diff: a change here is a change to the CLI.
 func TestSweepFlagsGolden(t *testing.T) {
 	var sb strings.Builder
-	for _, ch := range channels.All() {
+	for _, ch := range server.Channels() {
 		fs, spec := sweepFlags(ch, "test")
 		fmt.Fprintf(&sb, "%s\n", fs.Name())
 		fs.VisitAll(func(f *flag.Flag) {

@@ -51,12 +51,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 
 	"biaslab"
 	"biaslab/internal/bench"
-	"biaslab/internal/channels"
 	"biaslab/internal/compiler"
 	"biaslab/internal/report"
 	"biaslab/internal/server"
@@ -176,38 +176,27 @@ func run(args []string) int {
 }
 
 // serviceCommands are the subcommands that map onto biaslabd job kinds and
-// so accept -server (remote execution) and -json (canonical result JSON).
-// Every sweep kind in the channel registry is one.
-var serviceCommands = func() map[string]bool {
-	m := map[string]bool{
-		"run": true, "randomize": true, "spec": true,
-		"experiment": true, "figure": true, "table": true, "all": true, "list": true,
-	}
-	for _, ch := range channels.All() {
-		m[ch.JobKind] = true
-	}
-	return m
-}()
-
-// serverSupports lists the -server commands for usage errors, one sweep
-// per channel in the registry.
-func serverSupports() string {
+// so accept -server (remote execution) and -json (canonical result JSON),
+// in usage order: one sweep per channel. figure and table are aliases of
+// experiment.
+func serviceCommands() []string {
 	cmds := []string{"run"}
-	for _, ch := range channels.All() {
+	for _, ch := range server.Channels() {
 		cmds = append(cmds, ch.JobKind)
 	}
-	cmds = append(cmds, "randomize", "spec", "experiment", "all")
-	return strings.Join(cmds, ", ") + " and list"
+	return append(cmds, "randomize", "spec", "experiment", "all", "list")
 }
 
 func (a *app) dispatch(cmd string, cmdArgs []string) error {
-	if a.server != "" && !serviceCommands[cmd] {
-		return usageErrorf("%s runs locally only; -server supports %s", cmd, serverSupports())
+	cmds := serviceCommands()
+	service := slices.Contains(cmds, cmd) || cmd == "figure" || cmd == "table"
+	if a.server != "" && !service {
+		return usageErrorf("%s runs locally only; -server supports %s and list", cmd, strings.Join(cmds[:len(cmds)-1], ", "))
 	}
-	if a.jsonOut && cmd != "predict" && cmd != "audit" && (!serviceCommands[cmd] || cmd == "all") {
+	if a.jsonOut && cmd != "predict" && cmd != "audit" && (!service || cmd == "all") {
 		return usageErrorf("-json is not supported for %s", cmd)
 	}
-	if ch, ok := channels.ByJobKind(cmd); ok {
+	if ch, ok := server.ChannelByKind(cmd); ok {
 		return a.cmdSweep(ch, cmdArgs)
 	}
 	switch cmd {
@@ -340,27 +329,9 @@ func (a *app) cmdRun(args []string) error {
 	return a.runSpec(spec)
 }
 
-// sweepFlagSpec declares the extra flags one sweep kind takes; the flag
-// names and help strings are those of the former per-kind subcommands,
-// verbatim, and the defaults are Canonicalize's (server.Default*).
-type sweepFlagSpec struct {
-	step     bool   // -step (env)
-	adaptive string // -adaptive help text, "" = no such flag
-	orders   bool   // -orders and -seed (link)
-	tenant   bool   // -co-level and -quantum (tenant)
-}
-
-var sweepFlagSpecs = map[string]sweepFlagSpec{
-	"env":    {step: true, adaptive: "oracle-guided sweep: measure predicted boundaries, verify and interpolate plateaus"},
-	"pad":    {adaptive: "comparator-guided sweep: measure where layouts provably differ, verify and interpolate proven-equal plateaus"},
-	"base":   {adaptive: "comparator-guided sweep: measure where layouts provably differ, verify and interpolate proven-equal plateaus"},
-	"link":   {orders: true},
-	"tenant": {tenant: true},
-}
-
 // cmdSweep is the one sweep subcommand behind every channel in the
-// registry: registry entry in, job spec out.
-func (a *app) cmdSweep(ch channels.Channel, args []string) error {
+// table: channel row in, job spec out.
+func (a *app) cmdSweep(ch server.Channel, args []string) error {
 	fs, spec := sweepFlags(ch, a.size.String())
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -368,52 +339,21 @@ func (a *app) cmdSweep(ch channels.Channel, args []string) error {
 	return a.runSpec(spec())
 }
 
-// sweepFlags declares the flags of ch's sweep subcommand; once fs has
-// parsed them, spec returns the job they describe.
-func sweepFlags(ch channels.Channel, size string) (*flag.FlagSet, func() server.JobSpec) {
-	sf := sweepFlagSpecs[ch.Name]
+// sweepFlags declares the flags of ch's sweep subcommand, one per
+// parameter the sweep takes; once fs has parsed them, spec returns the
+// job they describe.
+func sweepFlags(ch server.Channel, size string) (*flag.FlagSet, func() server.JobSpec) {
 	fs := flag.NewFlagSet(ch.JobKind, flag.ContinueOnError)
 	benchName := benchFlag(fs)
 	machineName := machineFlag(fs)
-	var step, seed, quantum *uint64
-	var adaptive *bool
-	var orders *int
-	var coLevel *string
-	if sf.step {
-		step = fs.Uint64("step", server.DefaultStep, "environment-size step in bytes")
-	}
-	if sf.adaptive != "" {
-		adaptive = fs.Bool("adaptive", false, sf.adaptive)
-	}
-	if sf.orders {
-		orders = fs.Int("orders", server.DefaultOrders, "number of random link orders")
-		seed = fs.Uint64("seed", server.DefaultSeed, "random seed")
-	}
-	if sf.tenant {
-		coLevel = fs.String("co-level", "O2", "co-runner optimization level")
-		quantum = fs.Uint64("quantum", 0, "interleave quantum in retired instructions (0 = engine default)")
+	spec := server.JobSpec{Kind: ch.JobKind, Size: size}
+	for _, p := range ch.Params {
+		if p.Applies(server.ModeSwept) {
+			p.AddFlag(fs, &spec)
+		}
 	}
 	return fs, func() server.JobSpec {
-		spec := server.JobSpec{
-			Kind:    ch.JobKind,
-			Size:    size,
-			Bench:   *benchName,
-			Machine: *machineName,
-		}
-		if step != nil {
-			spec.Step = *step
-		}
-		if adaptive != nil {
-			spec.Adaptive = *adaptive
-		}
-		if orders != nil {
-			spec.Orders = *orders
-			spec.Seed = *seed
-		}
-		if coLevel != nil {
-			spec.CoLevel = *coLevel
-			spec.Quantum = *quantum
-		}
+		spec.Bench, spec.Machine = *benchName, *machineName
 		return spec
 	}
 }

@@ -55,10 +55,8 @@ import (
 
 	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
-	"biaslab/internal/channels"
 	"biaslab/internal/compiler"
 	"biaslab/internal/core"
-	"biaslab/internal/linker"
 	"biaslab/internal/machine"
 	"biaslab/internal/server"
 	"biaslab/internal/stats"
@@ -144,7 +142,7 @@ type Auditor struct {
 // a name re-registered with another geometry (core.Runner.RegisterMachine)
 // never finds the old plan; the name itself only labels the plan.
 type planKey struct {
-	planner  string // "env", "pad" or "base"
+	planner  string // the planning channel's name
 	size     bench.Size
 	bench    string
 	machine  string
@@ -162,17 +160,24 @@ type planKey struct {
 // link cache. Eviction is arbitrary: a plan is a pure function of its key.
 const planMemoCap = 512
 
-// planners are the oracle planners the rules consult, by planKey.planner.
-var planners = map[string]func(*core.Runner, *bench.Benchmark, core.Setup, []uint64) (*analysis.EnvPlan, error){
-	"env":  core.PlanEnvSweep,
-	"pad":  core.PlanPadSweep,
-	"base": core.PlanBaseSweep,
-}
+// envChannel is the channel whose oracle the coarse-env-grid and
+// unrandomized-sensitive rules consult.
+var envChannel, _ = server.ChannelByName("env")
 
-// plan returns planner's plan of b under setup over values, from the memo
-// when an earlier audit planned the same key. Plans are shared and must
-// not be modified.
-func (a *Auditor) plan(size bench.Size, planner string, b *bench.Benchmark, setup core.Setup, values []uint64) (*analysis.EnvPlan, error) {
+// plan returns ch's plan over values for the setup and benchmark a
+// canonical spec names — the artifact `biaslab predict -json` emits and the
+// adaptive sweep consumes, built by compiling and linking only — from the
+// memo when an earlier audit planned the same key. Plans are shared and
+// must not be modified.
+func (a *Auditor) plan(c server.JobSpec, ch server.Channel, values []uint64) (*analysis.EnvPlan, error) {
+	size, err := bench.ParseSize(c.Size)
+	if err != nil {
+		return nil, err
+	}
+	setup, b, err := server.BaseSetup(c)
+	if err != nil {
+		return nil, err
+	}
 	r := a.runner(size)
 	geometry, err := r.MachineConfig(setup.Machine)
 	if err != nil {
@@ -181,7 +186,7 @@ func (a *Auditor) plan(size bench.Size, planner string, b *bench.Benchmark, setu
 	cc := setup.Compiler
 	cc.Level = 0
 	key := planKey{
-		planner: planner, size: size, bench: b.Name,
+		planner: ch.Name, size: size, bench: b.Name,
 		machine: setup.Machine, geometry: geometry, compiler: cc,
 		envBytes: setup.EnvBytes, shift: setup.StackShift,
 		pad: setup.TextPad, base: setup.TextBase,
@@ -194,7 +199,7 @@ func (a *Auditor) plan(size bench.Size, planner string, b *bench.Benchmark, setu
 	if ok {
 		return p, nil
 	}
-	if p, err = planners[planner](r, b, setup, values); err != nil {
+	if p, err = ch.Plan(r, b, setup, values); err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
@@ -399,38 +404,24 @@ func fineGrid() []uint64 {
 	return sizes
 }
 
-// planFor builds the merged O2+O3 env plan for a canonical spec — the same
-// artifact `biaslab predict -json` emits and the adaptive sweep consumes.
-// Compile and link only; nothing is simulated.
-func (a *Auditor) planFor(c server.JobSpec) (*analysis.EnvPlan, error) {
-	size, err := bench.ParseSize(c.Size)
-	if err != nil {
-		return nil, err
-	}
-	setup, b, err := server.BaseSetup(c)
-	if err != nil {
-		return nil, err
-	}
-	return a.plan(size, "env", b, setup, fineGrid())
-}
-
-// ruleOracle covers the two oracle-backed rules: coarse-env-grid for
-// sweeps, unrandomized-sensitive for fixed-setup runs.
+// ruleOracle covers the oracle-backed rules: coarse-env-grid for a sweep
+// with a grid step (Canonicalize keeps step only on sweep-env),
+// unrandomized-sensitive for fixed-setup runs.
 func (a *Auditor) ruleOracle(c server.JobSpec) ([]Finding, error) {
-	switch c.Kind {
-	case server.KindSweepEnv:
+	switch {
+	case c.Step != 0:
 		if c.Adaptive {
 			// The adaptive sweep measures the predicted boundaries by
 			// construction; the grid cannot skip them.
 			return nil, nil
 		}
-		plan, err := a.planFor(c)
+		plan, err := a.plan(c, envChannel, fineGrid())
 		if err != nil {
 			return nil, err
 		}
 		return ruleCoarseGrid(c, plan), nil
-	case server.KindRun:
-		plan, err := a.planFor(c)
+	case c.Kind == server.KindRun:
+		plan, err := a.plan(c, envChannel, fineGrid())
 		if err != nil {
 			return nil, err
 		}
@@ -445,34 +436,22 @@ func (a *Auditor) ruleOracle(c server.JobSpec) ([]Finding, error) {
 }
 
 // ruleUnrandomizedChannels covers the code-placement variants of
-// unrandomized-sensitive. For each channel it plans a minimal two-point
-// probe — the unperturbed layout against a 4-byte perturbation, the
-// smallest displacement the channel can apply — and fires only when the
-// plan is exact with a boundary: the comparator *proved* the two layouts
-// measure differently, so a fixed-layout number depends on a layout choice
-// the spec never reports. An undecided pair stays silent — the auditor
+// unrandomized-sensitive, one rule per Scalar channel with a planner. For
+// each it plans a minimal two-point probe — the first two values of the
+// channel's canonical grid: the unperturbed layout and the smallest
+// displacement the channel applies — and fires only when the plan is
+// exact with a boundary: the comparator *proved* the two layouts measure
+// differently, so a fixed-layout number depends on a layout choice the
+// spec never reports. An undecided pair stays silent — the auditor
 // accuses only on proof.
 func (a *Auditor) ruleUnrandomizedChannels(c server.JobSpec) ([]Finding, error) {
-	size, err := bench.ParseSize(c.Size)
-	if err != nil {
-		return nil, err
-	}
-	setup, b, err := server.BaseSetup(c)
-	if err != nil {
-		return nil, err
-	}
-	probes := []struct {
-		rule    string
-		knob    string
-		values  []uint64
-		planner string
-	}{
-		{RuleUnrandomizedPad, "inter-object text padding", []uint64{0, 4}, "pad"},
-		{RuleUnrandomizedBase, "image base", []uint64{linker.DefaultTextBase, linker.DefaultTextBase + 4}, "base"},
-	}
 	var fs []Finding
-	for _, p := range probes {
-		plan, err := a.plan(size, p.planner, b, setup, p.values)
+	for _, ch := range server.Channels() {
+		if ch.Plan == nil || ch.Scalar == nil {
+			continue
+		}
+		probe := ch.Scalar.Values()[:2]
+		plan, err := a.plan(c, ch, probe)
 		if err != nil {
 			return nil, err
 		}
@@ -480,16 +459,16 @@ func (a *Auditor) ruleUnrandomizedChannels(c server.JobSpec) ([]Finding, error) 
 			continue
 		}
 		// Only a channel that randomize draws can be randomized away.
-		remedy := ": a randomize job never draws the " + p.knob
-		if ch, _ := channels.ByName(p.planner); ch.Randomized {
+		remedy := ": a randomize job never draws the " + ch.Factor
+		if ch.Randomized {
 			remedy = " or randomize the setup"
 		}
 		fs = append(fs, Finding{
-			Rule:     p.rule,
+			Rule:     RuleUnrandomized + "-" + ch.Name,
 			Severity: server.AuditWarn,
 			Message: fmt.Sprintf(
-				"the dataflow comparator proves %s@%s is sensitive to %s (a 4-byte shift provably changes its cycle count): a fixed-layout run measures one arbitrary point of that swing; sweep the channel (kind=sweep-%s)%s",
-				c.Bench, c.Machine, p.knob, plan.Channel, remedy),
+				"the dataflow comparator proves %s@%s is sensitive to %s (a %d-byte shift provably changes its cycle count): a fixed-layout run measures one arbitrary point of that swing; sweep the channel (kind=%s)%s",
+				c.Bench, c.Machine, ch.Factor, probe[1]-probe[0], ch.JobKind, remedy),
 		})
 	}
 	return fs, nil

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"biaslab/internal/bench"
 	"biaslab/internal/journal"
 	"biaslab/internal/server"
 )
@@ -33,7 +32,7 @@ func TestAuditVerdictInheritedByShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jn.Close()
-	points, err := Points(sharedRunner(bench.SizeTest), spec)
+	points, err := Points(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -547,7 +547,7 @@ func (c *Coordinator) RunSharded(ctx context.Context, jobKey string, spec server
 		return err
 	}
 	r := c.cfg.Runner(size)
-	points, err := Points(r, spec)
+	points, err := Points(spec)
 	if err != nil {
 		return err
 	}

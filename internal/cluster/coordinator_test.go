@@ -82,7 +82,7 @@ func startJob(t *testing.T, c *Coordinator, key string, spec server.JobSpec) (*j
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { jn.Close() })
-	points, err := Points(sharedRunner(bench.SizeTest), spec)
+	points, err := Points(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestFullyJournalledJobNeedsNoCluster(t *testing.T) {
 	clock := newFakeClock()
 	c := NewCoordinator(protocolConfig(clock))
 	spec := protocolSpec(t)
-	points, err := Points(sharedRunner(bench.SizeTest), spec)
+	points, err := Points(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"biaslab/internal/bench"
 	"biaslab/internal/journal"
 	"biaslab/internal/server"
 )
@@ -28,7 +27,7 @@ const fuzzJobKey = "job-fuzz"
 // ingests nothing new.
 func FuzzHeartbeat(f *testing.F) {
 	spec := protocolSpec(f)
-	points, err := Points(sharedRunner(bench.SizeTest), spec)
+	points, err := Points(spec)
 	if err != nil {
 		f.Fatal(err)
 	}

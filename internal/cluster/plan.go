@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"biaslab/internal/core"
 	"biaslab/internal/server"
 )
 
@@ -22,9 +21,9 @@ type Point struct {
 // The enumeration is a pure function of the canonical spec, so the
 // coordinator's planner, a worker's shard executor, and a single-node
 // resume all derive exactly the same points with exactly the same keys —
-// the foundation of the byte-identical merge. The runner is not consulted:
-// the grid takes the benchmark's unit list from the spec's workload size.
-func Points(_ *core.Runner, spec server.JobSpec) ([]Point, error) {
+// the foundation of the byte-identical merge. The grid takes the
+// benchmark's unit list from the spec's workload size.
+func Points(spec server.JobSpec) ([]Point, error) {
 	g, err := server.GridOf(spec)
 	if err != nil {
 		return nil, err

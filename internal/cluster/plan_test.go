@@ -31,7 +31,7 @@ func TestPointsMatchSingleNodeJournal(t *testing.T) {
 			}
 			size, _ := bench.ParseSize(canonical.Size)
 			r := core.NewRunner(size)
-			points, err := Points(r, canonical)
+			points, err := Points(canonical)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,8 +63,7 @@ func TestPointsMatchSingleNodeJournal(t *testing.T) {
 // TestPointsRejectsUnshardable: run and experiment jobs have no point
 // enumeration.
 func TestPointsRejectsUnshardable(t *testing.T) {
-	r := core.NewRunner(bench.SizeTest)
-	if _, err := Points(r, server.JobSpec{Kind: server.KindRun, Size: "test", Bench: "hmmer", Machine: "p4"}); err == nil {
+	if _, err := Points(server.JobSpec{Kind: server.KindRun, Size: "test", Bench: "hmmer", Machine: "p4"}); err == nil {
 		t.Fatal("planner accepted a run job")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"biaslab/internal/bench"
-	"biaslab/internal/channels"
 	"biaslab/internal/compiler"
 	"biaslab/internal/stats"
 )
@@ -101,8 +100,8 @@ func LinkGrid(setup Setup, cands []LinkCandidate) Grid[LinkPoint] {
 type BiasReport struct {
 	Benchmark string
 	Machine   string
-	// Factor is the perturbed factor's phrase from the channel registry
-	// (channels.Channel.Factor): "environment size", "link order", "text
+	// Factor is the perturbed factor's phrase from the channel table
+	// (server.Channel.Factor): "environment size", "link order", "text
 	// padding", "image base" or "co-runner".
 	Factor   string
 	Speedups stats.Summary
@@ -152,7 +151,7 @@ func (rep BiasReport) String() string {
 // the data behind Figures 3–5. A non-nil ck checkpoints every completed
 // point, so an interrupted study resumes mid-benchmark.
 func SuiteEnvStudy(ctx context.Context, r *Runner, machineName string, sizes []uint64, pers compiler.Personality, ck Checkpoint) ([]BiasReport, map[string][]float64, error) {
-	return suiteStudy(ctx, r, machineName, pers, "env", ck, func(_ *bench.Benchmark, setup Setup) Grid[EnvPoint] {
+	return suiteStudy(ctx, r, machineName, pers, EnvFactor, ck, func(_ *bench.Benchmark, setup Setup) Grid[EnvPoint] {
 		return EnvGrid(setup, sizes)
 	})
 }
@@ -161,14 +160,17 @@ func SuiteEnvStudy(ctx context.Context, r *Runner, machineName string, sizes []u
 // machine — the data behind Figures 6–7. A non-nil ck checkpoints every
 // completed point.
 func SuiteLinkStudy(ctx context.Context, r *Runner, machineName string, nOrders int, seed uint64, pers compiler.Personality, ck Checkpoint) ([]BiasReport, map[string][]float64, error) {
-	return suiteStudy(ctx, r, machineName, pers, "link", ck, func(b *bench.Benchmark, setup Setup) Grid[LinkPoint] {
+	return suiteStudy(ctx, r, machineName, pers, LinkFactor, ck, func(b *bench.Benchmark, setup Setup) Grid[LinkPoint] {
 		return LinkGrid(setup, LinkCandidates(r.UnitNames(b), nOrders, seed))
 	})
 }
 
+// The env and link channels' factor phrases, which the suite studies
+// report; the channel table (server.Channels) takes them from here.
+const EnvFactor, LinkFactor = "environment size", "link order"
+
 // suiteStudy sweeps one channel's grid for every benchmark on one machine.
-func suiteStudy[P SweepPoint](ctx context.Context, r *Runner, machineName string, pers compiler.Personality, channel string, ck Checkpoint, grid func(*bench.Benchmark, Setup) Grid[P]) ([]BiasReport, map[string][]float64, error) {
-	ch, _ := channels.ByName(channel)
+func suiteStudy[P SweepPoint](ctx context.Context, r *Runner, machineName string, pers compiler.Personality, factor string, ck Checkpoint, grid func(*bench.Benchmark, Setup) Grid[P]) ([]BiasReport, map[string][]float64, error) {
 	reports := []BiasReport{}
 	raw := map[string][]float64{}
 	for _, b := range bench.All() {
@@ -179,7 +181,7 @@ func suiteStudy[P SweepPoint](ctx context.Context, r *Runner, machineName string
 			return nil, nil, err
 		}
 		raw[b.Name] = Speedups(points)
-		reports = append(reports, NewBiasReport(b.Name, machineName, ch.Factor, raw[b.Name]))
+		reports = append(reports, NewBiasReport(b.Name, machineName, factor, raw[b.Name]))
 	}
 	return reports, raw, nil
 }

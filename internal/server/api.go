@@ -24,12 +24,10 @@ import (
 	"fmt"
 
 	"biaslab/internal/bench"
-	"biaslab/internal/channels"
 	"biaslab/internal/compiler"
 	"biaslab/internal/core"
 	"biaslab/internal/experiments"
 	"biaslab/internal/machine"
-	"biaslab/internal/tenancy"
 )
 
 // Job kinds accepted by POST /v1/jobs.
@@ -129,8 +127,9 @@ const (
 )
 
 // Defaults Canonicalize gives the counts and seeds a spec leaves unset.
-// They are the only copy: the declarative spec compiler returns canonical
-// jobs, and cmd/biaslab's flags default to these constants.
+// They are the only copy: the channel table's parameters carry them to
+// Canonicalize and the sweep flags, and the spec compiler returns
+// canonical jobs.
 const (
 	DefaultStep   = 128 // sweep-env grid step in bytes
 	DefaultOrders = 16  // sweep-link random link orders
@@ -188,35 +187,36 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		return nil
 	}
 
-	// coDefaults canonicalizes the co-run parameters once a co-runner is
-	// in play: explicit defaults, so a defaulted and an explicit spec for
-	// the same co-run share one content key.
-	coDefaults := func() error {
-		c.CoLevel = spec.CoLevel
-		if c.CoLevel == "" {
-			c.CoLevel = "O2"
+	// A sweep takes its channel's swept-mode parameters; its grid is
+	// otherwise canonical, so two requests for one sweep share a key.
+	if ch, ok := ChannelByKind(spec.Kind); ok {
+		if err := needBench(); err != nil {
+			return JobSpec{}, err
 		}
-		if _, err := compiler.ParseLevel(c.CoLevel); err != nil {
-			return fmt.Errorf("co-runner level: %w", err)
+		if ch.refuse != nil {
+			if err := ch.refuse(spec); err != nil {
+				return JobSpec{}, err
+			}
 		}
-		c.Quantum = spec.Quantum
-		if c.Quantum == 0 {
-			c.Quantum = tenancy.DefaultQuantum
+		for _, p := range ch.Params {
+			if p.Applies(ModeSwept) {
+				if err := p.canonicalize(&c, spec); err != nil {
+					return JobSpec{}, err
+				}
+			}
 		}
-		return nil
+		return c, nil
 	}
-	// coBench validates and adopts a fixed co-runner when the spec names
-	// one; without one the co-run fields stay zeroed (an idle machine,
+
+	// A co-runner in play canonicalizes with explicit co-run defaults, so a
+	// defaulted and an explicit spec for the same co-run share one content
+	// key. Without one the co-run fields stay zeroed (an idle machine,
 	// byte-identical to every pre-existing spec).
-	coBench := func() error {
+	coRun := func() error {
 		if spec.CoBench == "" {
 			return nil
 		}
-		if _, ok := bench.ByName(spec.CoBench); !ok {
-			return fmt.Errorf("unknown co-runner benchmark %q", spec.CoBench)
-		}
-		c.CoBench = spec.CoBench
-		return coDefaults()
+		return canonicalize(&c, spec, paramCoBench, paramCoLevel, paramQuantum)
 	}
 
 	switch spec.Kind {
@@ -231,77 +231,25 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		if _, err := compiler.ParseLevel(c.Level); err != nil {
 			return JobSpec{}, err
 		}
-		c.EnvBytes = spec.EnvBytes
-		if c.EnvBytes == 0 {
-			c.EnvBytes = core.DefaultEnvBytes
-		}
-		if err := coBench(); err != nil {
+		if err := canonicalize(&c, spec, paramEnvBytes); err != nil {
 			return JobSpec{}, err
 		}
-	case KindSweepEnv:
-		if err := needBench(); err != nil {
-			return JobSpec{}, err
-		}
-		c.Step = spec.Step
-		if c.Step == 0 {
-			c.Step = DefaultStep
-		}
-		c.Adaptive = spec.Adaptive
-	case KindSweepPad, KindSweepBase:
-		// The grid is canonical (DefaultPadSizes / DefaultTextBases), so the
-		// spec carries no grid parameters: two requests for the same channel
-		// sweep always share a content key.
-		if err := needBench(); err != nil {
-			return JobSpec{}, err
-		}
-		c.Adaptive = spec.Adaptive
-	case KindSweepLink:
-		if err := needBench(); err != nil {
-			return JobSpec{}, err
-		}
-		c.Orders = spec.Orders
-		if c.Orders <= 0 {
-			c.Orders = DefaultOrders
-		}
-		if c.Orders > maxOrders {
-			return JobSpec{}, fmt.Errorf("orders %d exceeds the limit of %d", c.Orders, maxOrders)
-		}
-		c.Seed = spec.Seed
-		if c.Seed == 0 {
-			c.Seed = DefaultSeed
-		}
-	case KindSweepTenant:
-		// The co-runner identity IS the swept factor, over the canonical
-		// panel (core.DefaultCoRunners): like sweep-pad's grid, the panel is
-		// canonical so the spec carries no point list. CoLevel and Quantum
-		// are fixed attributes of the whole panel.
-		if err := needBench(); err != nil {
-			return JobSpec{}, err
-		}
-		if spec.CoBench != "" {
-			return JobSpec{}, fmt.Errorf("sweep-tenant sweeps the co-runner identity; co_bench would fix it (use kind=run or randomize for a pinned co-runner)")
-		}
-		if err := coDefaults(); err != nil {
+		if err := coRun(); err != nil {
 			return JobSpec{}, err
 		}
 	case KindRandomize:
 		if err := needBench(); err != nil {
 			return JobSpec{}, err
 		}
-		c.N = spec.N
-		if c.N <= 0 {
-			c.N = DefaultN
-		}
-		if c.N > maxN {
-			return JobSpec{}, fmt.Errorf("n %d exceeds the limit of %d", c.N, maxN)
+		if err := canonicalize(&c, spec, paramN); err != nil {
+			return JobSpec{}, err
 		}
 		if spec.Tol < 0 {
 			return JobSpec{}, fmt.Errorf("negative tol %v", spec.Tol)
 		}
 		c.Tol = spec.Tol
-		c.Seed = spec.Seed
-		if c.Seed == 0 {
-			c.Seed = DefaultSeed
+		if err := canonicalize(&c, spec, paramSeed); err != nil {
+			return JobSpec{}, err
 		}
 		if spec.CoRandom && spec.CoBench != "" {
 			return JobSpec{}, fmt.Errorf("co_random randomizes the co-runner; co_bench fixes it — pick one")
@@ -311,10 +259,10 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 				return JobSpec{}, fmt.Errorf("co_random does not compose with adaptive sampling (tol); use a fixed n")
 			}
 			c.CoRandom = true
-			if err := coDefaults(); err != nil {
+			if err := canonicalize(&c, spec, paramCoLevel, paramQuantum); err != nil {
 				return JobSpec{}, err
 			}
-		} else if err := coBench(); err != nil {
+		} else if err := coRun(); err != nil {
 			return JobSpec{}, err
 		}
 	case KindExperiment:
@@ -541,12 +489,12 @@ type EnvSweepResult struct {
 	Report   core.BiasReport          `json:"report"`
 }
 
-// ChannelSweepResult is the result payload of a sweep-pad or sweep-base
-// job: one scalar code-layout channel swept over its canonical grid.
+// ChannelSweepResult is the result payload of a Scalar channel's sweep
+// (sweep-pad, sweep-base) over its canonical grid.
 type ChannelSweepResult struct {
 	Benchmark string `json:"benchmark"`
 	Machine   string `json:"machine"`
-	// Channel is "pad" or "base".
+	// Channel is the channel's name: "pad" or "base".
 	Channel string              `json:"channel"`
 	Points  []core.ChannelPoint `json:"points"`
 	// Adaptive carries the comparator-guided sweep's measurement ledger
@@ -661,8 +609,8 @@ func NewCatalog() *Catalog {
 	for _, b := range bench.All() {
 		c.Benchmarks = append(c.Benchmarks, BenchmarkInfo{Name: b.Name, Spec: b.Spec, Kernel: b.Kernel})
 	}
-	for _, ch := range channels.All() {
-		c.Channels = append(c.Channels, ChannelInfo{Name: ch.Name, Kind: ch.JobKind, Factor: ch.Factor, Oracle: ch.Oracle})
+	for _, ch := range channels {
+		c.Channels = append(c.Channels, ChannelInfo{Name: ch.Name, Kind: ch.JobKind, Factor: ch.Factor, Oracle: ch.Plan != nil})
 	}
 	return c
 }

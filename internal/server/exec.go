@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
-	"biaslab/internal/channels"
 	"biaslab/internal/core"
 	"biaslab/internal/experiments"
 )
@@ -84,7 +82,7 @@ func (g *Grid) Measure(ctx context.Context, r *core.Runner, i int) (any, error) 
 // not a grid. The grid is a pure function of the spec: the benchmark's
 // unit list comes from the spec's workload size.
 func GridOf(spec JobSpec) (*Grid, error) {
-	ch, sweep := channels.ByJobKind(spec.Kind)
+	ch, sweep := ChannelByKind(spec.Kind)
 	if !sweep && (spec.Kind != KindRandomize || spec.Tol > 0) {
 		return nil, nil
 	}
@@ -96,34 +94,8 @@ func GridOf(spec JobSpec) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	report := func(speedups []float64) core.BiasReport {
-		return core.NewBiasReport(b.Name, spec.Machine, ch.Factor, speedups)
-	}
-	switch spec.Kind {
-	case KindSweepEnv:
-		sizes := core.DefaultEnvSizes(spec.Step)
-		plan := func(r *core.Runner) (*analysis.EnvPlan, error) { return core.PlanEnvSweep(r, b, setup, sizes) }
-		return sweepGrid(spec, b, core.EnvGrid(setup, sizes), plan, func(res *Result, points []core.EnvPoint, adaptive *core.AdaptiveSweepStats) {
-			res.EnvSweep = &EnvSweepResult{Benchmark: b.Name, Machine: spec.Machine, Points: points, Adaptive: adaptive, Report: report(core.Speedups(points))}
-		}), nil
-	case KindSweepPad, KindSweepBase:
-		values, grid, planner := core.DefaultPadSizes(), core.PadGrid, core.PlanPadSweep
-		if spec.Kind == KindSweepBase {
-			values, grid, planner = core.DefaultTextBases(), core.BaseGrid, core.PlanBaseSweep
-		}
-		plan := func(r *core.Runner) (*analysis.EnvPlan, error) { return planner(r, b, setup, values) }
-		return sweepGrid(spec, b, grid(setup, values), plan, func(res *Result, points []core.ChannelPoint, adaptive *core.AdaptiveSweepStats) {
-			res.ChannelSweep = &ChannelSweepResult{Benchmark: b.Name, Machine: spec.Machine, Channel: ch.Name, Points: points, Adaptive: adaptive, Report: report(core.Speedups(points))}
-		}), nil
-	case KindSweepLink:
-		cands := core.LinkCandidates(b.UnitNames(size), spec.Orders, spec.Seed)
-		return denseGrid(b, core.LinkGrid(setup, cands), func(res *Result, points []core.LinkPoint) {
-			res.LinkSweep = &LinkSweepResult{Benchmark: b.Name, Machine: spec.Machine, Points: points, Report: report(core.Speedups(points))}
-		}), nil
-	case KindSweepTenant:
-		return denseGrid(b, core.TenantGrid(setup, core.DefaultCoRunners()), func(res *Result, points []core.TenantPoint) {
-			res.TenantSweep = &TenantSweepResult{Benchmark: b.Name, Machine: spec.Machine, CoLevel: spec.CoLevel, Quantum: spec.Quantum, Points: points, Report: report(core.Speedups(points))}
-		}), nil
+	if sweep {
+		return ch.grid(sweepIn{ch: ch, spec: spec, setup: setup, b: b, size: size}), nil
 	}
 	// Fixed-n randomize: the co-runner is one more randomized factor when
 	// the spec asks for it.
@@ -161,23 +133,27 @@ func denseGrid[P any](b *bench.Benchmark, g core.Grid[P], finish func(res *Resul
 	}
 }
 
-// sweepGrid is denseGrid for a channel with an oracle: when the spec asks
-// for an adaptive sweep, the planned driver measures the grid against
-// plan's prediction and finish also receives its measurement ledger.
-func sweepGrid[P core.SweepPoint](spec JobSpec, b *bench.Benchmark, g core.Grid[P], plan func(*core.Runner) (*analysis.EnvPlan, error), finish func(res *Result, points []P, adaptive *core.AdaptiveSweepStats)) *Grid {
-	grid := denseGrid(b, g, func(res *Result, points []P) { finish(res, points, nil) })
-	if spec.Adaptive {
+// sweepGrid is denseGrid for a channel's sweep: finish also receives the
+// bias report under the channel's factor and, for an adaptive sweep (only
+// a planned channel takes the switch), the ledger of the planned driver
+// measuring g against the channel's plan over values.
+func sweepGrid[P core.SweepPoint](in sweepIn, g core.Grid[P], values []uint64, finish func(res *Result, points []P, adaptive *core.AdaptiveSweepStats, rep core.BiasReport)) *Grid {
+	done := func(res *Result, points []P, adaptive *core.AdaptiveSweepStats) {
+		finish(res, points, adaptive, core.NewBiasReport(in.b.Name, in.spec.Machine, in.ch.Factor, core.Speedups(points)))
+	}
+	grid := denseGrid(in.b, g, func(res *Result, points []P) { done(res, points, nil) })
+	if in.spec.Adaptive {
 		grid.Adaptive = true
 		grid.run = func(ctx context.Context, r *core.Runner, ck core.Checkpoint, res *Result) error {
-			p, err := plan(r)
+			p, err := in.ch.Plan(r, in.b, in.setup, values)
 			if err != nil {
 				return err
 			}
-			points, stats, err := core.SweepPlanned(ctx, r, b, g, p, ck)
+			points, stats, err := core.SweepPlanned(ctx, r, in.b, g, p, ck)
 			if err != nil {
 				return err
 			}
-			finish(res, points, &stats)
+			done(res, points, &stats)
 			return nil
 		}
 	}

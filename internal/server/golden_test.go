@@ -81,7 +81,7 @@ func TestGoldenWireCorpus(t *testing.T) {
 			}
 			var keys strings.Builder
 			keys.WriteString("content " + key + "\n")
-			if points, err := cluster.Points(r, canonical); err == nil {
+			if points, err := cluster.Points(canonical); err == nil {
 				for _, p := range points {
 					keys.WriteString(p.Key + "\n")
 				}

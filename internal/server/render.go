@@ -24,20 +24,14 @@ type sweeper interface {
 func (res *Result) payload() (any, error) {
 	var p any
 	var ok bool
-	switch res.Kind {
-	case KindRun:
+	switch ch, sweep := ChannelByKind(res.Kind); {
+	case sweep:
+		p, ok = ch.payload(res)
+	case res.Kind == KindRun:
 		p, ok = res.Run, res.Run != nil
-	case KindSweepEnv:
-		p, ok = res.EnvSweep, res.EnvSweep != nil
-	case KindSweepLink:
-		p, ok = res.LinkSweep, res.LinkSweep != nil
-	case KindSweepPad, KindSweepBase:
-		p, ok = res.ChannelSweep, res.ChannelSweep != nil
-	case KindSweepTenant:
-		p, ok = res.TenantSweep, res.TenantSweep != nil
-	case KindRandomize:
+	case res.Kind == KindRandomize:
 		p, ok = res.Randomize, res.Randomize != nil
-	case KindExperiment:
+	case res.Kind == KindExperiment:
 		p, ok = res.Experiment, res.Experiment != nil
 	default:
 		return nil, fmt.Errorf("server: cannot render result of kind %q", res.Kind)
@@ -118,56 +112,38 @@ func RenderCSV(res *Result) (string, error) {
 	return fmt.Sprintf("# %s: %s\n%s", r.ID, r.Title, r.CSV), nil
 }
 
-// sweep builds the sweep-env table exactly as cmd/biaslab always
-// rendered it.
+// sweepTable is a sweep's table exactly as cmd/biaslab always rendered
+// it: one row per point, the swept value under header, then the O2 and O3
+// cycles and the speedup.
+func sweepTable[P any](title, header string, points []P, row func(P) []any) *report.Table {
+	t := &report.Table{Title: title, Headers: []string{header, "cycles O2", "cycles O3", "speedup"}}
+	for _, p := range points {
+		t.AddRow(row(p)...)
+	}
+	return t
+}
+
 func (r *EnvSweepResult) sweep() (*report.Table, core.BiasReport) {
-	t := &report.Table{
-		Title:   fmt.Sprintf("O3-over-O2 speedup of %s vs environment size (%s)", r.Benchmark, r.Machine),
-		Headers: []string{"env bytes", "cycles O2", "cycles O3", "speedup"},
-	}
-	for _, p := range r.Points {
-		t.AddRow(p.EnvBytes, p.CyclesBase, p.CyclesOpt, p.Speedup)
-	}
-	return t, r.Report
+	return sweepTable(fmt.Sprintf("O3-over-O2 speedup of %s vs environment size (%s)", r.Benchmark, r.Machine), "env bytes", r.Points,
+		func(p core.EnvPoint) []any { return []any{p.EnvBytes, p.CyclesBase, p.CyclesOpt, p.Speedup} }), r.Report
 }
 
-// sweep builds the sweep-pad / sweep-base table.
+// sweep heads a Scalar channel's table with the channel's swept value.
 func (r *ChannelSweepResult) sweep() (*report.Table, core.BiasReport) {
-	header := "pad bytes"
-	if r.Channel == "base" {
-		header = "text base"
+	header := r.Channel
+	if ch, ok := ChannelByName(r.Channel); ok && ch.Scalar != nil {
+		header = ch.Scalar.Header
 	}
-	t := &report.Table{
-		Title:   fmt.Sprintf("O3-over-O2 speedup of %s vs %s (%s)", r.Benchmark, header, r.Machine),
-		Headers: []string{header, "cycles O2", "cycles O3", "speedup"},
-	}
-	for _, p := range r.Points {
-		t.AddRow(p.Value, p.CyclesBase, p.CyclesOpt, p.Speedup)
-	}
-	return t, r.Report
+	return sweepTable(fmt.Sprintf("O3-over-O2 speedup of %s vs %s (%s)", r.Benchmark, header, r.Machine), header, r.Points,
+		func(p core.ChannelPoint) []any { return []any{p.Value, p.CyclesBase, p.CyclesOpt, p.Speedup} }), r.Report
 }
 
-// sweep builds the sweep-tenant table.
 func (r *TenantSweepResult) sweep() (*report.Table, core.BiasReport) {
-	t := &report.Table{
-		Title: fmt.Sprintf("O3-over-O2 speedup of %s vs co-runner at %s, quantum %d (%s)",
-			r.Benchmark, r.CoLevel, r.Quantum, r.Machine),
-		Headers: []string{"co-runner", "cycles O2", "cycles O3", "speedup"},
-	}
-	for _, p := range r.Points {
-		t.AddRow(p.CoRunner, p.CyclesBase, p.CyclesOpt, p.Speedup)
-	}
-	return t, r.Report
+	return sweepTable(fmt.Sprintf("O3-over-O2 speedup of %s vs co-runner at %s, quantum %d (%s)", r.Benchmark, r.CoLevel, r.Quantum, r.Machine), "co-runner", r.Points,
+		func(p core.TenantPoint) []any { return []any{p.CoRunner, p.CyclesBase, p.CyclesOpt, p.Speedup} }), r.Report
 }
 
-// sweep builds the sweep-link table.
 func (r *LinkSweepResult) sweep() (*report.Table, core.BiasReport) {
-	t := &report.Table{
-		Title:   fmt.Sprintf("O3-over-O2 speedup of %s vs link order (%s)", r.Benchmark, r.Machine),
-		Headers: []string{"order", "cycles O2", "cycles O3", "speedup"},
-	}
-	for _, p := range r.Points {
-		t.AddRow(p.Label, p.CyclesBase, p.CyclesOpt, p.Speedup)
-	}
-	return t, r.Report
+	return sweepTable(fmt.Sprintf("O3-over-O2 speedup of %s vs link order (%s)", r.Benchmark, r.Machine), "order", r.Points,
+		func(p core.LinkPoint) []any { return []any{p.Label, p.CyclesBase, p.CyclesOpt, p.Speedup} }), r.Report
 }

@@ -40,44 +40,27 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"biaslab/internal/bench"
-	"biaslab/internal/channels"
 	"biaslab/internal/machine"
 	"biaslab/internal/server"
 )
 
-// Channel modes.
-const (
-	ModeSwept      = "swept"
-	ModeRandomized = "randomized"
-	ModeFixed      = "fixed"
-)
-
-// ChannelSpec is one channel block: a mode plus the channel's parameters.
-// Which parameters are legal depends on the channel; Validate rejects
-// mismatches rather than ignoring them.
+// ChannelSpec is one channel block: a mode (swept, randomized or fixed)
+// plus parameters under their JobSpec JSON names. Which parameters a block
+// may state in which mode is its channel's row (server.Channel.Params);
+// Compile rejects mismatches rather than ignoring them.
 type ChannelSpec struct {
-	// Mode is swept, randomized, or fixed.
-	Mode string `json:"mode"`
-	// Step is the env sweep's grid step (env, swept; default 128).
-	Step uint64 `json:"step,omitempty"`
-	// EnvBytes fixes the environment size (env, fixed; default 512).
+	Mode     string `json:"mode"`
+	Step     uint64 `json:"step,omitempty"`
 	EnvBytes uint64 `json:"env_bytes,omitempty"`
-	// Orders and Seed parameterize the link sweep (link, swept).
-	Orders int    `json:"orders,omitempty"`
-	Seed   uint64 `json:"seed,omitempty"`
-	// Adaptive selects the oracle/comparator-guided sweep (env, pad,
-	// base; swept).
-	Adaptive bool `json:"adaptive,omitempty"`
-	// CoBench pins the co-runner (tenant, fixed — the interference
-	// crime).
-	CoBench string `json:"co_bench,omitempty"`
-	// CoLevel and Quantum are the co-run parameters (tenant, any mode).
-	CoLevel string `json:"co_level,omitempty"`
-	Quantum uint64 `json:"quantum,omitempty"`
+	Orders   int    `json:"orders,omitempty"`
+	Seed     uint64 `json:"seed,omitempty"`
+	Adaptive bool   `json:"adaptive,omitempty"`
+	CoBench  string `json:"co_bench,omitempty"`
+	CoLevel  string `json:"co_level,omitempty"`
+	Quantum  uint64 `json:"quantum,omitempty"`
 }
 
 // RandomizeSpec parameterizes the one randomize job that absorbs every
@@ -219,44 +202,52 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if _, ok := channels.ByName(name); !ok {
-			return nil, fmt.Errorf("spec: unknown channel %q (registry: %v)", name, channels.Names())
+		reg, ok := server.ChannelByName(name)
+		if !ok {
+			var known []string
+			for _, ch := range server.Channels() {
+				known = append(known, ch.Name)
+			}
+			return nil, fmt.Errorf("spec: unknown channel %q (registry: %v)", name, known)
 		}
-		if err := checkChannel(name, f.Channels[name]); err != nil {
+		if err := checkChannel(reg, f.Channels[name]); err != nil {
 			return nil, err
 		}
 	}
 
-	// Each job takes every parameter the file states; checkChannel has
-	// admitted only those that apply to their channel and mode, and
-	// Canonicalize zeroes the ones a job's kind does not use.
-	envCh := f.Channels["env"]
-	tenantCh := f.Channels["tenant"]
-	base := server.JobSpec{
-		Size:        f.Size,
-		Bench:       f.Bench,
-		Machine:     f.Machine,
-		Personality: f.Personality,
-		EnvBytes:    envCh.EnvBytes,
-		// A fixed tenant under an otherwise randomized experiment is
-		// exactly what the fixed-corunner-sensitive audit rule exists to
-		// catch: compiled faithfully, not silently repaired.
-		CoBench:  tenantCh.CoBench,
-		CoLevel:  tenantCh.CoLevel,
-		Quantum:  tenantCh.Quantum,
-		CoRandom: tenantCh.Mode == ModeRandomized,
+	// Every job takes the parameters a fixed block may state, a sweep job
+	// also its channel's sweep parameters; Canonicalize zeroes the ones a
+	// job's kind does not use. A fixed tenant under an otherwise randomized
+	// experiment is compiled faithfully, not silently repaired: flagging it
+	// is the fixed-corunner-sensitive audit rule's job.
+	base := server.JobSpec{Size: f.Size, Bench: f.Bench, Machine: f.Machine, Personality: f.Personality}
+	randomized := false
+	for _, reg := range server.Channels() {
+		ch := f.Channels[reg.Name]
+		for _, p := range reg.Params {
+			if p.Applies(server.ModeFixed) {
+				p.Copy(&base, ch.stated())
+			}
+		}
+		if ch.Mode == server.ModeRandomized {
+			randomized = true
+			if reg.OptIn != nil {
+				*reg.OptIn(&base) = true
+			}
+		}
+	}
+	if f.Randomize != nil && !randomized {
+		return nil, fmt.Errorf("spec: the \"randomize\" block would be dropped: no channel is randomized, so the file compiles to no randomize job")
 	}
 	var jobs []server.JobSpec
-	randomized := false
 	// Registry order, not map order: compilation must be deterministic.
-	for _, reg := range channels.All() {
-		switch ch := f.Channels[reg.Name]; ch.Mode {
-		case ModeRandomized:
-			randomized = true
-		case ModeSwept:
+	for _, reg := range server.Channels() {
+		if ch := f.Channels[reg.Name]; ch.Mode == server.ModeSwept {
 			job := base
 			job.Kind = reg.JobKind
-			job.Step, job.Orders, job.Seed, job.Adaptive = ch.Step, ch.Orders, ch.Seed, ch.Adaptive
+			for _, p := range reg.Params { // checkChannel admitted only the sweep's own
+				p.Copy(&job, ch.stated())
+			}
 			jobs = append(jobs, job)
 		}
 	}
@@ -287,36 +278,32 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 	// pad, base and link sweeps, like any job without a co_bench, measure
 	// an idle machine. Checked before the randomized set, so a fixed env
 	// under randomize is named as a dropped env_bytes. A swept or
-	// randomized tenant's co_level and quantum go to the jobs that draw
-	// co-runners and are not checked here.
-	fixedTenant := tenantCh.Mode == ModeFixed
+	// randomized channel's parameters go to the jobs that vary it and are
+	// not checked here.
 	for _, job := range jobs {
-		for _, p := range []struct {
-			channel, name string
-			val           any
-			set, kept     bool
-		}{
-			{"env", "env_bytes", envCh.EnvBytes, envCh.EnvBytes != 0, job.EnvBytes == envCh.EnvBytes},
-			{"tenant", "co_bench", strconv.Quote(tenantCh.CoBench), fixedTenant && tenantCh.CoBench != "", job.CoBench == tenantCh.CoBench},
-			{"tenant", "co_level", strconv.Quote(tenantCh.CoLevel), fixedTenant && tenantCh.CoLevel != "", job.CoLevel == tenantCh.CoLevel},
-			{"tenant", "quantum", tenantCh.Quantum, fixedTenant && tenantCh.Quantum != 0, job.Quantum == tenantCh.Quantum},
-		} {
-			if p.set && !p.kept {
-				return nil, fmt.Errorf("spec: channel %q (fixed): %s %v would be dropped: the file compiles to a %s job, which does not take it", p.channel, p.name, p.val, job.Kind)
+		for _, reg := range server.Channels() {
+			if ch := f.Channels[reg.Name]; ch.Mode == server.ModeFixed {
+				for _, p := range reg.Params {
+					if val := p.Value(ch.stated()); p.Stated(ch.stated()) && p.Value(job) != val {
+						raw, _ := json.Marshal(val)
+						return nil, fmt.Errorf("spec: channel %q (fixed): %s %s would be dropped: the file compiles to a %s job, which does not take it", reg.Name, p.Name, raw, job.Kind)
+					}
+				}
 			}
 		}
 	}
 	// A randomize job draws exactly the channels the registry marks
-	// Randomized, the tenant only under co_random. A file that declares a
-	// different randomized set would report an experiment it did not run.
+	// Randomized, an opt-in channel only when the job opts in. A file that
+	// declares a different randomized set would report an experiment it
+	// did not run.
 	if randomized {
-		for _, reg := range channels.All() {
+		for _, reg := range server.Channels() {
 			mode := f.Channels[reg.Name].Mode
-			drawn := reg.Randomized && (reg.Name != "tenant" || base.CoRandom)
+			drawn := reg.Randomized && (reg.OptIn == nil || *reg.OptIn(&base))
 			switch {
-			case mode == ModeRandomized && !drawn:
+			case mode == server.ModeRandomized && !drawn:
 				return nil, fmt.Errorf("spec: channel %q (randomized): a randomize job never draws the %s; sweep it or declare it fixed", reg.Name, reg.Factor)
-			case mode != ModeRandomized && drawn:
+			case mode != server.ModeRandomized && drawn:
 				if mode == "" {
 					mode = "unmentioned, so fixed"
 				}
@@ -327,43 +314,52 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 	return jobs, nil
 }
 
+// stated returns the parameters a channel block states, in the JobSpec
+// fields of the same JSON names.
+func (ch ChannelSpec) stated() server.JobSpec {
+	return server.JobSpec{
+		Step: ch.Step, EnvBytes: ch.EnvBytes, Orders: ch.Orders, Seed: ch.Seed, Adaptive: ch.Adaptive,
+		CoBench: ch.CoBench, CoLevel: ch.CoLevel, Quantum: ch.Quantum,
+	}
+}
+
 // checkChannel validates one channel block: a legal mode, and only the
-// parameters that mean something for (channel, mode).
-func checkChannel(name string, ch ChannelSpec) error {
+// parameters its channel takes in that mode.
+func checkChannel(reg server.Channel, ch ChannelSpec) error {
 	switch ch.Mode {
-	case ModeSwept, ModeRandomized, ModeFixed:
+	case server.ModeSwept, server.ModeRandomized, server.ModeFixed:
 	case "":
-		return fmt.Errorf("spec: channel %q: missing mode (swept, randomized or fixed)", name)
+		return fmt.Errorf("spec: channel %q: missing mode (swept, randomized or fixed)", reg.Name)
 	default:
-		return fmt.Errorf("spec: channel %q: unknown mode %q (want swept, randomized or fixed)", name, ch.Mode)
+		return fmt.Errorf("spec: channel %q: unknown mode %q (want swept, randomized or fixed)", reg.Name, ch.Mode)
 	}
-	type field struct {
-		set  bool
-		name string
-		ok   bool
-	}
-	fields := []field{
-		{ch.Step != 0, "step", name == "env" && ch.Mode == ModeSwept},
-		{ch.EnvBytes != 0, "env_bytes", name == "env" && ch.Mode == ModeFixed},
-		{ch.Orders != 0, "orders", name == "link" && ch.Mode == ModeSwept},
-		{ch.Seed != 0, "seed", name == "link" && ch.Mode == ModeSwept},
-		{ch.Adaptive, "adaptive", (name == "env" || name == "pad" || name == "base") && ch.Mode == ModeSwept},
-		{ch.CoBench != "", "co_bench", name == "tenant" && ch.Mode == ModeFixed},
-		{ch.CoLevel != "", "co_level", name == "tenant"},
-		{ch.Quantum != 0, "quantum", name == "tenant"},
-	}
-	if name == "tenant" && ch.Mode == ModeRandomized && ch.CoBench != "" {
-		return fmt.Errorf("spec: channel \"tenant\" (randomized): co_bench would fix the tenant; drop it or use mode \"fixed\"")
-	}
-	for _, fl := range fields {
-		if fl.set && !fl.ok {
-			return fmt.Errorf("spec: channel %q (%s): parameter %q does not apply", name, ch.Mode, fl.name)
+	stated := ch.stated()
+	// Every parameter any channel takes: a block may state only its own.
+	for _, other := range server.Channels() {
+		for _, p := range other.Params {
+			if !p.Stated(stated) || takes(reg, p.Name, ch.Mode) {
+				continue
+			}
+			if ch.Mode == server.ModeRandomized && takes(reg, p.Name, server.ModeFixed) {
+				return fmt.Errorf("spec: channel %q (randomized): %s would fix the %s; drop it or use mode %q", reg.Name, p.Name, reg.Name, server.ModeFixed)
+			}
+			return fmt.Errorf("spec: channel %q (%s): parameter %q does not apply", reg.Name, ch.Mode, p.Name)
 		}
 	}
-	if name == "tenant" && ch.CoBench != "" {
-		if _, ok := bench.ByName(ch.CoBench); !ok {
-			return fmt.Errorf("spec: channel \"tenant\": unknown co-runner benchmark %q", ch.CoBench)
+	for _, p := range reg.Params {
+		if err := p.Check(stated); err != nil {
+			return fmt.Errorf("spec: channel %q: %w", reg.Name, err)
 		}
 	}
 	return nil
+}
+
+// takes reports whether reg takes the parameter name in mode.
+func takes(reg server.Channel, name, mode string) bool {
+	for _, p := range reg.Params {
+		if p.Name == name && p.Applies(mode) {
+			return true
+		}
+	}
+	return false
 }

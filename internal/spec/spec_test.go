@@ -212,6 +212,7 @@ func TestCompileErrors(t *testing.T) {
 		{"tenant level without a co-runner", `{"bench": "mcf", "channels": {"tenant": {"mode": "fixed", "co_level": "O3"}}}`, `channel "tenant" (fixed): co_level "O3" would be dropped: the file compiles to a run job`},
 		{"fixed env under randomize", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"env": {"mode": "fixed", "env_bytes": 1024}, "link": {"mode": "randomized"}}}`, `channel "env" (fixed): env_bytes 1024 would be dropped: the file compiles to a randomize job`},
 		{"base randomized", `{"bench": "mcf", "channels": {` + randomizedSet + `, "base": {"mode": "randomized"}}}`, `channel "base" (randomized): a randomize job never draws the image base`},
+		{"randomize block without a randomized channel", `{"bench": "mcf", "machine": "core2", "size": "test", "channels": {"env": {"mode": "swept"}}, "randomize": {"n": 32, "seed": 7}}`, `the "randomize" block would be dropped: no channel is randomized`},
 		{"only link randomized", `{"bench": "mcf", "channels": {"link": {"mode": "randomized"}}}`, `channel "env" (unmentioned, so fixed): a randomize job draws the environment size on every setup`},
 	}
 	for _, tc := range cases {

@@ -490,14 +490,10 @@ func transitionProof(cfg machine.Config, a *ChannelLayout, d layoutDeltas) strin
 	}
 	// Address order, not map order: the first proof found is the reason
 	// `biaslab predict` prints, so it must not change between runs.
-	var musts []uint64
-	for addr, must := range a.Info.MustExec {
-		if must {
-			musts = append(musts, addr)
+	for _, addr := range a.Info.Order {
+		if !a.Info.MustExec[addr] {
+			continue
 		}
-	}
-	sort.Slice(musts, func(i, j int) bool { return musts[i] < musts[j] })
-	for _, addr := range musts {
 		fi := a.Info.Funcs[addr]
 		if fi == nil {
 			continue

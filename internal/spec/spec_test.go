@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -226,5 +227,34 @@ func TestCompileErrors(t *testing.T) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestChannelBlockFieldsAreTableParams: a channel block's parameter fields
+// are exactly the parameters the channel table's rows take, under the same
+// JSON names, so the schema neither offers a parameter no channel takes
+// nor lacks one a channel does.
+func TestChannelBlockFieldsAreTableParams(t *testing.T) {
+	var fields []string
+	ty := reflect.TypeOf(spec.ChannelSpec{})
+	for i := 0; i < ty.NumField(); i++ {
+		if name, _, _ := strings.Cut(ty.Field(i).Tag.Get("json"), ","); name != "mode" {
+			fields = append(fields, name)
+		}
+	}
+	seen := map[string]bool{}
+	var params []string
+	for _, ch := range server.Channels() {
+		for _, p := range ch.Params {
+			if !seen[p.Name] {
+				seen[p.Name] = true
+				params = append(params, p.Name)
+			}
+		}
+	}
+	sort.Strings(fields)
+	sort.Strings(params)
+	if !reflect.DeepEqual(fields, params) {
+		t.Errorf("channel block fields %v, channel table parameters %v", fields, params)
 	}
 }

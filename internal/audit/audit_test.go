@@ -189,6 +189,17 @@ func TestRuleTable(t *testing.T) {
 	}
 }
 
+// TestChannelRulesInCatalog: each planned code-layout channel's
+// unrandomized-sensitive variant is a catalog rule, so it can be
+// suppressed by name.
+func TestChannelRulesInCatalog(t *testing.T) {
+	for _, ch := range server.Channels() {
+		if rule := audit.RuleUnrandomized + "-" + ch.Name; ch.Plan != nil && ch.Scalar != nil && !audit.KnownRule(rule) {
+			t.Errorf("channel %s audits under %s, which the rule catalog lacks", ch.Name, rule)
+		}
+	}
+}
+
 // TestSingleSetupSubsumesFewSetups: n=1 is charged as single-setup only,
 // not double-flagged.
 func TestSingleSetupSubsumesFewSetups(t *testing.T) {

@@ -245,7 +245,9 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 		if ch := f.Channels[reg.Name]; ch.Mode == server.ModeSwept {
 			job := base
 			job.Kind = reg.JobKind
-			for _, p := range reg.Params { // checkChannel admitted only the sweep's own
+			// A swept block states only parameters its sweep takes
+			// (checkChannel); the rest copy as the zeros base holds.
+			for _, p := range reg.Params {
 				p.Copy(&job, ch.stated())
 			}
 			jobs = append(jobs, job)

@@ -41,12 +41,14 @@ func TestSweepFlagsGolden(t *testing.T) {
 }
 
 // TestPredictGolden pins `biaslab predict` on the two code-layout
-// channels, text and -json, for one benchmark at test size.
+// channels, text and -json, and the env channel's text, for one benchmark
+// at test size.
 func TestPredictGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
 		args   []string
 	}{
+		{"predict-env.txt", []string{"predict", "-channel", "env"}},
 		{"predict-pad.txt", []string{"predict", "-channel", "pad"}},
 		{"predict-pad.json", []string{"-json", "predict", "-channel", "pad"}},
 		{"predict-base.txt", []string{"predict", "-channel", "base"}},
@@ -54,7 +56,7 @@ func TestPredictGolden(t *testing.T) {
 	} {
 		args := append([]string{"-size", "test"}, tc.args...)
 		args = append(args, "-bench", "mcf", "-machine", "core2")
-		out, code := captureStdoutRun(t, args...)
+		out, code := captureRun(t, args...)
 		if code != 0 {
 			t.Fatalf("run(%v) = exit %d", args, code)
 		}
@@ -62,15 +64,25 @@ func TestPredictGolden(t *testing.T) {
 	}
 }
 
-// captureStdoutRun invokes the CLI entry point with stdout captured.
-func captureStdoutRun(t *testing.T, args ...string) (string, int) {
+// TestHelpGolden pins `biaslab help`, which prints to stderr.
+func TestHelpGolden(t *testing.T) {
+	out, code := captureOutput(t, &os.Stderr, "help")
+	if code != 0 {
+		t.Fatalf("help = exit %d", code)
+	}
+	checkGolden(t, "help.txt", []byte(out))
+}
+
+// captureOutput invokes the CLI entry point with *f (os.Stdout or
+// os.Stderr) captured.
+func captureOutput(t *testing.T, f **os.File, args ...string) (string, int) {
 	t.Helper()
-	old := os.Stdout
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	outCh := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r)
@@ -78,7 +90,7 @@ func captureStdoutRun(t *testing.T, args ...string) (string, int) {
 	}()
 	code := run(args)
 	w.Close()
-	os.Stdout = old
+	*f = old
 	return <-outCh, code
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -78,21 +77,7 @@ func TestJournalReuseRefused(t *testing.T) {
 // captureRun invokes the CLI entry point with stdout captured.
 func captureRun(t *testing.T, args ...string) (string, int) {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	outCh := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		outCh <- string(b)
-	}()
-	code := run(args)
-	w.Close()
-	os.Stdout = old
-	return <-outCh, code
+	return captureOutput(t, &os.Stdout, args...)
 }
 
 // TestServerModeByteIdentical is the end-to-end acceptance check at the CLI

@@ -199,17 +199,13 @@ func (a *app) cmdPredict(args []string) error {
 		return nil
 	}
 
-	var sources []compiler.Source
-	var objNames []string
-	for _, s := range b.Sources(bench.Size(a.size)) {
-		sources = append(sources, compiler.Source{Name: s.Name, Text: s.Text})
-		objNames = append(objNames, s.Name)
-	}
-	objs, prog, err := compiler.Compile(sources, setup.Compiler)
+	// The env channel: the executable, objects and program the env sweep
+	// measures, from the same Runner.
+	objs, prog, err := r.Compiled(b, setup.Compiler)
 	if err != nil {
 		return err
 	}
-	exe, err := linker.Link(objs, linker.Options{})
+	exe, err := r.Executable(b, setup)
 	if err != nil {
 		return err
 	}
@@ -233,6 +229,6 @@ func (a *app) cmdPredict(args []string) error {
 	fmt.Printf("stack footprint: %d intervals, max depth %d bytes\n\n", len(o.Foot.Intervals), o.Foot.MaxDepth)
 	fmt.Print(report.ConflictMapText(cm))
 	fmt.Println()
-	fmt.Print(report.LinkOrderText(lm, objNames))
+	fmt.Print(report.LinkOrderText(lm, r.UnitNames(b)))
 	return nil
 }

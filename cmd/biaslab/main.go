@@ -239,12 +239,11 @@ func usage() {
 
 subcommands:
   run        measure one benchmark under one setup (optionally with a co-runner)
-  sweep-env  vary the UNIX environment size, report the speedup swing
-  sweep-pad  vary inter-object text padding, report the speedup swing
-  sweep-base vary the image base address, report the speedup swing
-  sweep-link vary the link order, report the speedup swing
-  sweep-tenant vary the co-running benchmark, report the speedup swing
-  randomize  estimate a speedup over randomized setups (the paper's remedy)
+`)
+	for _, ch := range server.Channels() {
+		fmt.Fprintf(os.Stderr, "  %-10s vary the %s, report the speedup swing\n", ch.JobKind, ch.Factor)
+	}
+	fmt.Fprint(os.Stderr, `  randomize  estimate a speedup over randomized setups (the paper's remedy)
   spec       validate, expand or run a declarative bias-on-demand spec file
   causal     intervene on stack placement, rank hardware-event correlates
   profile    per-function cycle attribution for one run

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -104,6 +105,16 @@ func defaultWorkerID() string {
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
+// newHTTPServer serves h on addr. Every request's context ends as soon as
+// Shutdown begins, so a drain never waits out a held cluster heartbeat or
+// an open event stream.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	base, end := context.WithCancel(context.Background())
+	s := &http.Server{Addr: addr, Handler: h, BaseContext: func(net.Listener) context.Context { return base }}
+	s.RegisterOnShutdown(end)
+	return s
+}
+
 func serve(opts serveOptions) error {
 	srv, err := server.New(server.Config{DataDir: opts.dataDir, Workers: opts.workers})
 	if err != nil {
@@ -126,7 +137,7 @@ func serve(opts serveOptions) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	coord.Register(mux)
-	httpSrv := &http.Server{Addr: opts.addr, Handler: mux}
+	httpSrv := newHTTPServer(opts.addr, mux)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

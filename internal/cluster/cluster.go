@@ -13,6 +13,10 @@
 //     jobs at once: it renews the leases on the shards the worker holds,
 //     delivers completed points and shard results, and picks up new shard
 //     assignments.
+//   - An idle worker long-polls: a beat that carries nothing asks the
+//     coordinator to hold it (wait_ms) until a shard is queued or the
+//     interval ends, so new work reaches an idle fleet at once rather
+//     than at its next tick.
 //   - A missed lease marks the worker suspect; shards whose every leased
 //     copy has expired are requeued with exponential backoff plus
 //     deterministic jitter. A worker silent for several TTLs is dropped.
@@ -112,6 +116,11 @@ type HeartbeatRequest struct {
 	Points []PointRecord `json:"points,omitempty"`
 	// Done are shard outcomes not yet acknowledged.
 	Done []ShardResult `json:"done,omitempty"`
+	// WaitMs, on a beat that carries nothing (no Held, Points or Done),
+	// asks the coordinator to hold the beat for up to this many
+	// milliseconds (at most its heartbeat interval) until a shard is
+	// queued. Zero answers at once.
+	WaitMs int64 `json:"wait_ms,omitempty"`
 }
 
 // ShardAssignment hands a shard to a worker.

@@ -84,6 +84,17 @@ type workerState struct {
 	epoch    int64
 	lastBeat time.Time
 	held     map[string]*shardState
+	// waiting counts the worker's beats the coordinator is holding. A
+	// held beat is an open request, so a waiting worker is alive.
+	waiting int
+}
+
+// silence is how long the worker has gone without a sign of life.
+func (w *workerState) silence(now time.Time) time.Duration {
+	if w.waiting > 0 {
+		return 0
+	}
+	return now.Sub(w.lastBeat)
 }
 
 // shardState is one shard's lifecycle: queued → leased (one or more
@@ -131,6 +142,9 @@ type Coordinator struct {
 	ring   ring
 	jobs   map[string]*clusterJob
 	shards map[string]*shardState
+	// queued is closed, and replaced, whenever a shard is queued: it
+	// ends the wait of every held beat.
+	queued chan struct{}
 }
 
 // NewCoordinator builds a coordinator; cfg.Runner is required.
@@ -144,6 +158,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		ws:     map[string]*workerState{},
 		jobs:   map[string]*clusterJob{},
 		shards: map[string]*shardState{},
+		queued: make(chan struct{}),
 	}
 }
 
@@ -219,10 +234,15 @@ func (c *Coordinator) dropWorkerLocked(w *workerState, now time.Time) {
 }
 
 // Heartbeat is the protocol's one verb: renew leases, ingest results,
-// hand out work.
-func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
+// hand out work. An idle beat that asks to wait is first held (see
+// holdLocked); if ctx ends while it is held, Heartbeat returns ctx's error
+// and changes nothing, since no one is left to read the answer.
+func (c *Coordinator) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.holdLocked(ctx, req); err != nil {
+		return HeartbeatResponse{}, err
+	}
 	now := c.cfg.Clock()
 	c.sweepLocked(now)
 
@@ -288,6 +308,57 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 		})
 	}
 	return resp, nil
+}
+
+// holdLocked holds a beat that carries nothing and asks to wait
+// (req.WaitMs) until the worker could be given a shard: until a shard is
+// queued, the wait ends, or ctx ends. The wait is at most the heartbeat
+// interval, and ends when the next backed-off shard becomes ready. A beat
+// that carries anything, comes from a stranger, or finds a ready shard
+// and a free slot is answered at once. c.mu is released while the beat is
+// held.
+func (c *Coordinator) holdLocked(ctx context.Context, req HeartbeatRequest) error {
+	if req.WaitMs <= 0 || len(req.Held) > 0 || len(req.Points) > 0 || len(req.Done) > 0 {
+		return nil
+	}
+	w, ok := c.ws[req.Worker]
+	if !ok || w.epoch != req.Epoch {
+		return nil
+	}
+	wait := c.cfg.Heartbeat
+	if req.WaitMs < wait.Milliseconds() {
+		wait = time.Duration(req.WaitMs) * time.Millisecond
+	}
+	if len(w.held) < w.slots {
+		now := c.cfg.Clock()
+		for _, job := range c.jobs { //determlint:allow readiness scan; the earliest ready time is order-independent
+			for _, sh := range job.pending {
+				if !sh.notBefore.After(now) {
+					return nil
+				}
+				wait = min(wait, sh.notBefore.Sub(now))
+			}
+		}
+	}
+	w.waiting++
+	queued := c.queued
+	c.mu.Unlock()
+	t := time.NewTimer(wait)
+	select {
+	case <-queued:
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	t.Stop()
+	c.mu.Lock()
+	w.waiting--
+	return ctx.Err()
+}
+
+// wakeLocked ends the wait of every held beat: a shard was just queued.
+func (c *Coordinator) wakeLocked() {
+	close(c.queued)
+	c.queued = make(chan struct{})
 }
 
 // pickShardLocked chooses the next shard for a worker: an eligible queued
@@ -372,6 +443,7 @@ func (c *Coordinator) requeueLocked(sh *shardState, now time.Time) {
 	sh.queued = true
 	sh.job.pending = append(sh.job.pending, sh)
 	c.m.add(&c.m.shardsRetried, 1)
+	c.wakeLocked()
 }
 
 // shardDoneLocked processes one shard outcome report.
@@ -499,7 +571,7 @@ func (c *Coordinator) finishJobLocked(job *clusterJob, err error) {
 // sweepLocked expires stale leases and drops dead workers.
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for _, w := range c.ws { //determlint:allow liveness sweep; per-worker drops are order-independent
-		if now.Sub(w.lastBeat) > 3*c.cfg.LeaseTTL {
+		if w.silence(now) > 3*c.cfg.LeaseTTL {
 			c.dropWorkerLocked(w, now)
 			c.m.add(&c.m.workersDead, 1)
 		}
@@ -527,7 +599,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 func (c *Coordinator) aliveLocked(now time.Time) int {
 	n := 0
 	for _, w := range c.ws { //determlint:allow counting only
-		if now.Sub(w.lastBeat) <= c.cfg.LeaseTTL {
+		if w.silence(now) <= c.cfg.LeaseTTL {
 			n++
 		}
 	}
@@ -614,6 +686,7 @@ func (c *Coordinator) RunSharded(ctx context.Context, jobKey string, spec server
 	}
 	c.jobs[jobKey] = job
 	c.m.add(&c.m.jobsSharded, 1)
+	c.wakeLocked()
 	c.mu.Unlock()
 
 	tick := time.NewTicker(c.cfg.Heartbeat)
@@ -678,7 +751,7 @@ func (c *Coordinator) MetricsSnapshot() MetricsSnapshot {
 	now := c.cfg.Clock()
 	alive, suspect := 0, 0
 	for _, w := range c.ws { //determlint:allow counting only
-		if now.Sub(w.lastBeat) <= c.cfg.LeaseTTL {
+		if w.silence(now) <= c.cfg.LeaseTTL {
 			alive++
 		} else {
 			suspect++
@@ -719,7 +792,7 @@ func (c *Coordinator) Status() StatusResponse {
 	var workers []WorkerStatus
 	for _, w := range c.ws { //determlint:allow collected then sorted by worker id below
 		state := "alive"
-		if now.Sub(w.lastBeat) > c.cfg.LeaseTTL {
+		if w.silence(now) > c.cfg.LeaseTTL {
 			state = "suspect"
 		}
 		workers = append(workers, WorkerStatus{Worker: w.id, State: state, Slots: w.slots, Held: len(w.held)})

@@ -131,7 +131,7 @@ func mustJoin(t *testing.T, c *Coordinator, id string, slots int) JoinResponse {
 
 func mustBeat(t *testing.T, c *Coordinator, req HeartbeatRequest) HeartbeatResponse {
 	t.Helper()
-	resp, err := c.Heartbeat(req)
+	resp, err := c.Heartbeat(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestDeadWorkerDroppedAndEpochRejected(t *testing.T) {
 	if snap := c.MetricsSnapshot(); snap.WorkersDead != 1 {
 		t.Fatalf("WorkersDead = %d, want 1", snap.WorkersDead)
 	}
-	if _, err := c.Heartbeat(HeartbeatRequest{Worker: "w1", Epoch: w1.Epoch}); !errors.Is(err, ErrUnknownWorker) {
+	if _, err := c.Heartbeat(context.Background(), HeartbeatRequest{Worker: "w1", Epoch: w1.Epoch}); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("stale worker heartbeat: got %v, want ErrUnknownWorker", err)
 	}
 	if _, err := c.Join(JoinRequest{Worker: "w1", Slots: 2}); err != nil {
@@ -441,5 +441,75 @@ func TestFullyJournalledJobNeedsNoCluster(t *testing.T) {
 	}
 	if replayed != len(points) {
 		t.Fatalf("replayed %d points, want %d", replayed, len(points))
+	}
+}
+
+// beatAsync sends one heartbeat in the background.
+func beatAsync(ctx context.Context, c *Coordinator, req HeartbeatRequest) chan HeartbeatResponse {
+	out := make(chan HeartbeatResponse, 1)
+	go func() {
+		resp, err := c.Heartbeat(ctx, req)
+		if err != nil {
+			close(out)
+			return
+		}
+		out <- resp
+	}()
+	return out
+}
+
+// TestHeldBeat: at an hour's interval, an idle beat that asks to wait is
+// held until a shard is queued and then answered with it. A beat without
+// wait_ms is answered at once, as it always was, and so is a beat that
+// carries anything. A held beat whose context ends returns its error and
+// is not answered with work.
+func TestHeldBeat(t *testing.T) {
+	c := NewCoordinator(protocolConfig(newFakeClock()))
+	w1 := mustJoin(t, c, "w1", 1)
+	w2 := mustJoin(t, c, "w2", 1)
+	hour := time.Hour.Milliseconds()
+	answered := func(ch chan HeartbeatResponse, what string) HeartbeatResponse {
+		t.Helper()
+		select {
+		case resp, ok := <-ch:
+			if !ok {
+				t.Fatalf("%s: the beat failed", what)
+			}
+			return resp
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the beat was held", what)
+		}
+		return HeartbeatResponse{}
+	}
+	held := func(ch chan HeartbeatResponse, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+			t.Fatalf("%s: answered while no shard was queued", what)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+
+	if resp := answered(beatAsync(context.Background(), c, HeartbeatRequest{Worker: "w1", Epoch: w1.Epoch}), "beat without wait_ms"); len(resp.Assignments) != 0 {
+		t.Fatalf("idle beat got %d assignments with no job", len(resp.Assignments))
+	}
+	answered(beatAsync(context.Background(), c, HeartbeatRequest{Worker: "w1", Epoch: w1.Epoch, Held: []string{"gone"}, WaitMs: hour}), "beat holding a shard")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := beatAsync(ctx, c, HeartbeatRequest{Worker: "w2", Epoch: w2.Epoch, WaitMs: hour})
+	waiting := beatAsync(context.Background(), c, HeartbeatRequest{Worker: "w1", Epoch: w1.Epoch, WaitMs: hour})
+	held(waiting, "w1's idle beat")
+	if st := c.Status(); st.Workers[0].State != "alive" || st.Workers[1].State != "alive" {
+		t.Errorf("held workers read %+v, want alive", st.Workers)
+	}
+	cancel()
+	if _, ok := <-cancelled; ok {
+		t.Fatal("a held beat whose context ended was answered")
+	}
+
+	fuzzJob(t, c, protocolSpec(t))
+	resp := answered(waiting, "w1's held beat after a job was queued")
+	if len(resp.Assignments) != 1 {
+		t.Fatalf("held beat answered with %d assignments, want 1 (one slot)", len(resp.Assignments))
 	}
 }

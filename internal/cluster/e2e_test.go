@@ -413,3 +413,79 @@ func TestJoinReadinessProbe(t *testing.T) {
 		t.Fatalf("ready worker join: %v", err)
 	}
 }
+
+// beatSignal is a transport that signals each heartbeat its worker sends.
+type beatSignal struct {
+	cluster.Transport
+	beats chan struct{}
+}
+
+func (b *beatSignal) Heartbeat(ctx context.Context, req cluster.HeartbeatRequest) (cluster.HeartbeatResponse, error) {
+	select {
+	case b.beats <- struct{}{}:
+	default:
+	}
+	return b.Transport.Heartbeat(ctx, req)
+}
+
+// TestIdleFleetLongPolls: at an hour's heartbeat interval neither the
+// worker's tick nor the coordinator's fires during the test, so a job
+// submitted to an idle fleet reaches it only through the worker's held
+// beat. The job completes, byte-identical to a local run, over the
+// in-process transport and over HTTP; then stopping the worker, whose
+// next beat is held again, returns at once.
+func TestIdleFleetLongPolls(t *testing.T) {
+	for _, via := range []string{"local", "http"} {
+		t.Run(via, func(t *testing.T) {
+			srv, coord := newClusterServer(t, cluster.CoordinatorConfig{LeaseTTL: time.Hour, Heartbeat: time.Hour})
+			var inner cluster.Transport = cluster.LocalTransport{C: coord}
+			if via == "http" {
+				mux := http.NewServeMux()
+				coord.Register(mux)
+				ts := httptest.NewServer(mux)
+				t.Cleanup(ts.Close) // after the worker stops: Close waits for open requests
+				inner = cluster.Dial(ts.URL, nil, retry.Policy{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond})
+			}
+			tr := &beatSignal{Transport: inner, beats: make(chan struct{}, 1)}
+			w := cluster.NewWorker(cluster.WorkerConfig{ID: "w1", Slots: 2, Runner: runnerCache(), Transport: tr})
+			ctx, stop := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- w.Run(ctx) }()
+			t.Cleanup(func() {
+				stop()
+				<-done
+			})
+			waitWorkers(t, coord, 1)
+			settle := func() {
+				select {
+				case <-tr.beats:
+				case <-time.After(10 * time.Second):
+					t.Fatal("the idle worker sent no heartbeat")
+				}
+				time.Sleep(100 * time.Millisecond) // let the beat reach its hold
+			}
+			settle()
+
+			spec := server.JobSpec{Kind: server.KindSweepEnv, Size: "test", Bench: "hmmer", Machine: "p4", Step: 512}
+			raw := submitAndFetch(t, srv, spec)
+			if local := localBytes(t, spec); !bytes.Equal(raw, local) {
+				t.Error("long-polled result differs from single-node result")
+			}
+			if snap := coord.MetricsSnapshot(); snap.JobsSharded != 1 || snap.PointsIngested == 0 || snap.ShardsLocal != 0 {
+				t.Errorf("sharded %d, ingested %d points, %d shards run locally; want 1 job run by the fleet",
+					snap.JobsSharded, snap.PointsIngested, snap.ShardsLocal)
+			}
+
+			settle()
+			start := time.Now()
+			stop()
+			if err := <-done; err != nil {
+				t.Errorf("worker: %v", err)
+			}
+			done <- nil // for the cleanup
+			if d := time.Since(start); d > 5*time.Second {
+				t.Errorf("stopping a worker with a held beat took %v", d)
+			}
+		})
+	}
+}

@@ -22,9 +22,11 @@ const fuzzJobKey = "job-fuzz"
 // worker ("w1", epoch 1) and one sharded job. The handler must never
 // panic; a body that does not decode is a 400; a heartbeat from any other
 // worker or epoch is a 409 that changes nothing; a shard is never complete
-// before its points are journalled; and a point is journalled at most
-// once, however often a body repeats it: sending the same body again
-// ingests nothing new.
+// before its points are journalled; a point is journalled at most once,
+// however often a body repeats it: sending the same body again ingests
+// nothing new; and a body carrying held shards, points or results is
+// never held, whatever its wait_ms. The coordinator's interval is an hour,
+// so each send carries a short deadline that ends any hold.
 func FuzzHeartbeat(f *testing.F) {
 	spec := protocolSpec(f)
 	points, err := Points(spec)
@@ -59,6 +61,12 @@ func FuzzHeartbeat(f *testing.F) {
 	f.Add([]byte(`{"worker":"w1","epoch":1,"points":[{"job":"job-fuzz","index":-1}]}`))
 	f.Add([]byte(`{"worker":"w1","epoch":1} trailing`))
 	f.Add([]byte(`not json`))
+	for _, wait := range []int64{0, -1, 1, 1 << 53} {
+		f.Add(seed(HeartbeatRequest{Worker: "w1", Epoch: 1, WaitMs: wait}))
+		f.Add(seed(HeartbeatRequest{Worker: "w1", Epoch: 1, Held: held[:1], WaitMs: wait}))
+		f.Add(seed(HeartbeatRequest{Worker: "w1", Epoch: 1, Points: recs[:1], WaitMs: wait}))
+		f.Add(seed(HeartbeatRequest{Worker: "w1", Epoch: 1, Done: []ShardResult{{Job: fuzzJobKey, Shard: held[1], Error: "boom"}}, WaitMs: wait}))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c := NewCoordinator(protocolConfig(newFakeClock()))
@@ -70,8 +78,10 @@ func FuzzHeartbeat(f *testing.F) {
 		mux := http.NewServeMux()
 		c.Register(mux)
 		beat := func() *httptest.ResponseRecorder {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
 			rec := httptest.NewRecorder()
-			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/heartbeat", bytes.NewReader(body)))
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/heartbeat", bytes.NewReader(body)).WithContext(ctx))
 			return rec
 		}
 
@@ -112,7 +122,14 @@ func FuzzHeartbeat(f *testing.F) {
 		c.mu.Unlock()
 
 		// Redeliver the same body: every point in it is now a duplicate.
-		beat()
+		// w1's slots are full after the first send, so an idle body that
+		// asks to wait is held until its deadline and answered 503; a
+		// held body carrying anything would be answered 503 too.
+		resp = beat()
+		if decodeErr == nil && req.Worker == "w1" && req.Epoch == w1.Epoch &&
+			len(req.Held)+len(req.Points)+len(req.Done) > 0 && resp.Code != http.StatusOK {
+			t.Fatalf("a beat carrying held shards, points or results answered %d (%s): it was held", resp.Code, resp.Body)
+		}
 		again := c.MetricsSnapshot()
 		if again.PointsIngested != snap.PointsIngested || jn.Len() != int(snap.PointsIngested) {
 			t.Fatalf("redelivery ingested again: %d → %d points, %d journalled", snap.PointsIngested, again.PointsIngested, jn.Len())

@@ -59,11 +59,18 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		clusterJSON(w, http.StatusBadRequest, clusterError{err.Error()})
 		return
 	}
-	resp, err := c.Heartbeat(req)
+	// Reading the body to its end lets the server notice a worker that
+	// hangs up, which ends the request's context and so a held beat.
+	io.Copy(io.Discard, r.Body)
+	resp, err := c.Heartbeat(r.Context(), req)
 	switch {
 	case errors.Is(err, ErrUnknownWorker):
 		// 409: the worker's registration is gone; it must rejoin.
 		clusterJSON(w, http.StatusConflict, clusterError{err.Error()})
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// The request ended while its beat was held: the worker hung up
+		// or the daemon is draining.
+		clusterJSON(w, http.StatusServiceUnavailable, clusterError{err.Error()})
 	case err != nil:
 		clusterJSON(w, http.StatusBadRequest, clusterError{err.Error()})
 	default:

@@ -53,7 +53,7 @@ func (t LocalTransport) Join(ctx context.Context, req JoinRequest) (JoinResponse
 }
 
 func (t LocalTransport) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
-	return t.C.Heartbeat(req)
+	return t.C.Heartbeat(ctx, req)
 }
 
 func (t LocalTransport) Leave(ctx context.Context, req LeaveRequest) error {
@@ -69,7 +69,10 @@ func (t LocalTransport) Leave(ctx context.Context, req LeaveRequest) error {
 // which renews its leases, and also as soon as one of its shards
 // finishes: that beat delivers the shard at once and its reply hands the
 // freed slot the next queued shard, so a job's shards follow each other
-// without waiting out the interval.
+// without waiting out the interval. An idle worker long-polls instead:
+// right after joining, and after every beat that leaves it idle, it sends
+// a beat that carries nothing and asks the coordinator to hold it for one
+// interval (WaitMs), so a newly queued shard reaches it at once.
 //
 // Delivery is at-least-once: completed points and shard results stay in
 // the outbox until a heartbeat round-trip succeeds, so a heartbeat lost
@@ -121,14 +124,20 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
+	idle := true // a joined worker holds nothing, so it long-polls at once
 	for {
-		select {
-		case <-ctx.Done():
+		if !idle {
+			select {
+			case <-ctx.Done():
+			case <-tick.C:
+			case <-w.finished:
+			}
+		}
+		idle = false
+		if ctx.Err() != nil {
 			w.shutdown()
 			w.cfg.Transport.Leave(context.Background(), LeaveRequest{Worker: w.cfg.ID, Epoch: w.epochNow()})
 			return nil
-		case <-tick.C:
-		case <-w.finished:
 		}
 		// Fault site: a fired kill is a crash — no leave, no cleanup,
 		// executors abandoned. The coordinator must recover on its own.
@@ -141,14 +150,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := faultinject.Check("cluster", "heartbeat/"+w.cfg.ID); err != nil {
 			continue
 		}
-		if err := w.beat(ctx); errors.Is(err, ErrUnknownWorker) {
+		// A failed beat leaves idle false: the next one waits for the tick.
+		if idle, err = w.beat(ctx, interval); errors.Is(err, ErrUnknownWorker) {
 			// Dropped by the coordinator (missed leases, or it
 			// restarted). Cancel everything and start over; the
 			// outbox survives so finished work still gets delivered.
 			w.cancelAll()
-			if join, err = w.join(ctx); err != nil {
+			if _, err = w.join(ctx); err != nil {
 				return err
 			}
+			idle = true
 		}
 	}
 }
@@ -176,8 +187,11 @@ func (w *Worker) epochNow() int64 {
 	return w.epoch
 }
 
-// beat performs one heartbeat round trip and applies the response.
-func (w *Worker) beat(ctx context.Context) error {
+// beat performs one heartbeat round trip and applies the response. A
+// beat that carries nothing asks the coordinator to hold it for up to
+// wait. It reports whether the worker is left idle: nothing running and
+// nothing to deliver.
+func (w *Worker) beat(ctx context.Context, wait time.Duration) (bool, error) {
 	w.mu.Lock()
 	req := HeartbeatRequest{
 		Worker: w.cfg.ID,
@@ -188,12 +202,15 @@ func (w *Worker) beat(ctx context.Context) error {
 	for id := range w.held { //determlint:allow lease-renewal set; the coordinator treats Held as a set
 		req.Held = append(req.Held, id)
 	}
+	if len(req.Held)+len(req.Points)+len(req.Done) == 0 {
+		req.WaitMs = wait.Milliseconds()
+	}
 	sentPoints, sentDone := len(w.outbox), len(w.doneBox)
 	w.mu.Unlock()
 
 	resp, err := w.cfg.Transport.Heartbeat(ctx, req)
 	if err != nil {
-		return err
+		return false, err
 	}
 	w.mu.Lock()
 	// A successful round trip acknowledges exactly what was sent;
@@ -210,7 +227,9 @@ func (w *Worker) beat(ctx context.Context) error {
 	for _, a := range resp.Assignments {
 		w.start(ctx, a)
 	}
-	return nil
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.held)+len(w.outbox)+len(w.doneBox) == 0, nil
 }
 
 // start launches one assignment's executor goroutine.

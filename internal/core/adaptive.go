@@ -50,7 +50,7 @@ func PlanEnvSweep(r *Runner, b *bench.Benchmark, setup Setup, sizes []uint64) (*
 		if err != nil {
 			return nil, err
 		}
-		prog, err := r.program(b, s.Compiler)
+		_, prog, err := r.Compiled(b, s.Compiler)
 		if err != nil {
 			return nil, err
 		}

@@ -53,7 +53,7 @@ func ChannelConflictMap(r *Runner, b *bench.Benchmark, g Grid[ChannelPoint], set
 			return nil, err
 		}
 	}
-	prog, err := r.program(b, setup.WithLevel(lvl).Compiler)
+	_, prog, err := r.Compiled(b, setup.WithLevel(lvl).Compiler)
 	if err != nil {
 		return nil, err
 	}

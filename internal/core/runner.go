@@ -146,16 +146,18 @@ func (r *Runner) objects(b *bench.Benchmark, cfg compiler.Config) ([]*obj.Object
 	}
 }
 
-// program returns the cached IR program for (b, cfg), compiling if needed.
-// The oracle uses it to size address-taken frame slots exactly; predictions
-// from a nil program would merely be flagged approximate.
-func (r *Runner) program(b *bench.Benchmark, cfg compiler.Config) (*ir.Program, error) {
-	if _, err := r.objects(b, cfg); err != nil {
-		return nil, err
+// Compiled returns b's objects, in default link order, and its IR program
+// under cfg, from the compile cache Measure uses, compiling if needed. The
+// oracle uses the program to size address-taken frame slots exactly;
+// predictions from a nil program would merely be flagged approximate.
+func (r *Runner) Compiled(b *bench.Benchmark, cfg compiler.Config) ([]*obj.Object, *ir.Program, error) {
+	objs, err := r.objects(b, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.progCache[objKey{bench: b.Name, cfg: cfg}], nil
+	return objs, r.progCache[objKey{bench: b.Name, cfg: cfg}], nil
 }
 
 // linked returns the executable for b's objects under the given order and
@@ -330,9 +332,10 @@ type measured struct {
 // fault) is recovered into a *PanicError instead of tearing down the whole
 // sweep, a failure that marks itself transient (see IsTransient) is
 // retried exactly once, and any final error is wrapped in a
-// *MeasurementError carrying the stage and the complete setup. Pooled
-// resources are deliberately NOT recycled on panic — a machine or image in
-// an unknown state is dropped, never handed to the next measurement.
+// *MeasurementError carrying the stage and the complete setup. A pooled
+// machine is deliberately NOT recycled on panic — a machine in an unknown
+// state is dropped, never handed to the next measurement. An image is
+// released on every path instead (see measure).
 func runStage(stage Stage, benchName string, setup Setup, fn func() error) error {
 	attempt := func() (err error) {
 		defer func() {
@@ -441,6 +444,14 @@ func (r *Runner) measure(ctx context.Context, b *bench.Benchmark, setup Setup, p
 	}); err != nil {
 		return nil, err
 	}
+	// The image is released on every path, a failed or abandoned run's
+	// too: Release clears exactly the bytes that differ from zero,
+	// whatever state the run left them in, so the free list only ever
+	// holds pristine buffers, and a buffer mapped outside the Go heap is
+	// never lost. Results copy what they need; a pooled machine keeps
+	// pointing at the buffer but reads it only after its next run has
+	// replaced it.
+	defer img.Release()
 
 	var res *machine.Result
 	if !setup.CoRunner.IsZero() {
@@ -449,7 +460,6 @@ func (r *Runner) measure(ctx context.Context, b *bench.Benchmark, setup Setup, p
 		}
 		res, err = r.measureCoRun(ctx, b, setup, sid, img)
 		if err != nil {
-			// The image is dropped, not released (see below).
 			return nil, err
 		}
 	} else if err := runStage(StageMeasure, b.Name, setup, func() error {
@@ -469,14 +479,8 @@ func (r *Runner) measure(ctx context.Context, b *bench.Benchmark, setup Setup, p
 		}
 		return r.checkOracle(b.Name, res.Checksum, setup)
 	}); err != nil {
-		// The image is dropped, not released: a failed or abandoned run may
-		// leave it in an unknown state, and the pool must only ever see
-		// pristine buffers.
 		return nil, err
 	}
-	// The run is over and nothing retains the image's memory (results copy
-	// what they need), so its buffer can be recycled for the next load.
-	img.Release()
 
 	out := &measured{
 		m: &Measurement{
@@ -552,6 +556,7 @@ func (r *Runner) measureCoRun(ctx context.Context, b *bench.Benchmark, setup Set
 	}); err != nil {
 		return nil, err
 	}
+	defer coImg.Release() // on every path, as measure releases the subject
 
 	var res *machine.Result
 	if err := runStage(StageMeasure, b.Name, setup, func() error {
@@ -576,11 +581,8 @@ func (r *Runner) measureCoRun(ctx context.Context, b *bench.Benchmark, setup Set
 		res = subjRes
 		return nil
 	}); err != nil {
-		// Both images are dropped, not released, on failure, and so is the
-		// machine after a panic.
 		return nil, err
 	}
-	coImg.Release()
 	return res, nil
 }
 

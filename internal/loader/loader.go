@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"biaslab/internal/isa"
 	"biaslab/internal/linker"
@@ -173,14 +174,20 @@ type Image struct {
 // exactly the state a fresh allocation would, preserving bit-identical
 // execution.
 //
-// The lists, unlike a sync.Pool, survive garbage collection: a dropped
-// buffer would be freed and its span zeroed again, page by page, by the
-// next allocation. They need no bound: Load allocates only when the list
-// is empty, so a list never holds more buffers than were once in use at
-// the same time.
+// A new buffer is mapped anonymously from the OS (newBuf), outside the Go
+// heap, so its untouched pages stay on the kernel's zero page whatever
+// the process did with that memory before; a heap span the runtime had
+// already zeroed would be resident in full. The garbage collector never
+// frees such a buffer, so every buffer Load hands out must come back
+// through Release. The lists need no bound: Load allocates only when the
+// list is empty, so a list never holds more buffers than were once in use
+// at the same time.
 var (
 	freeMu   sync.Mutex
 	freeBufs = map[uint64][][]byte{}
+	// allocated counts the buffers ever created; with nothing dropped it
+	// is the peak number in use at once.
+	allocated atomic.Int64
 )
 
 // clearChunk is the granularity at which Release looks for written bytes:
@@ -203,7 +210,8 @@ func getBuf(size uint64) []byte {
 		return mem
 	}
 	freeMu.Unlock()
-	return make([]byte, size)
+	allocated.Add(1)
+	return newBuf(size)
 }
 
 // putBuf puts a zeroed buffer on the free list for its size.
@@ -229,7 +237,9 @@ func clearWritten(mem []byte) {
 
 // Release returns the image's memory buffer to the loader's free list for
 // its size and detaches it from the image. Call it only when the run is
-// complete and nothing retains img.Mem.
+// complete and nothing retains img.Mem. It is also the way to give up an
+// image whose run failed: clearing is exact whatever the run left in the
+// buffer, so the buffer goes back pristine.
 func (img *Image) Release() {
 	mem := img.Mem
 	img.Mem = nil
@@ -347,6 +357,8 @@ func Load(exe *linker.Executable, opts Options) (*Image, error) {
 	if sp <= exe.MemTop() {
 		// Unreachable given the up-front space check; keep the guard as an
 		// internal invariant.
+		clearWritten(mem)
+		putBuf(mem)
 		return nil, fmt.Errorf("%w: stack underflow after environment placement", ErrStackOverflow)
 	}
 

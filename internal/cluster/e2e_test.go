@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -487,5 +488,33 @@ func TestIdleFleetLongPolls(t *testing.T) {
 				t.Errorf("stopping a worker with a held beat took %v", d)
 			}
 		})
+	}
+}
+
+// noHold answers every beat at once, standing in for a coordinator that
+// does not hold beats: it drops wait_ms on the way in.
+type noHold struct {
+	cluster.Transport
+	beats atomic.Int64
+}
+
+func (n *noHold) Heartbeat(ctx context.Context, req cluster.HeartbeatRequest) (cluster.HeartbeatResponse, error) {
+	n.beats.Add(1)
+	req.WaitMs = 0
+	return n.Transport.Heartbeat(ctx, req)
+}
+
+// TestIdleWorkerNeverBeatsInALoop: an idle beat answered empty at once was
+// not held, so the worker's next beat waits for its tick. Against a
+// coordinator that never holds, an idle worker beats about once per
+// interval, not as fast as the coordinator answers.
+func TestIdleWorkerNeverBeatsInALoop(t *testing.T) {
+	_, coord := newClusterServer(t, cluster.CoordinatorConfig{LeaseTTL: time.Second, Heartbeat: 50 * time.Millisecond})
+	tr := &noHold{Transport: cluster.LocalTransport{C: coord}}
+	startWorker(t, "w1", tr)
+	waitWorkers(t, coord, 1)
+	time.Sleep(500 * time.Millisecond)
+	if n := tr.beats.Load(); n > 40 {
+		t.Errorf("an idle worker sent %d beats in 0.5 s at a 50 ms interval", n)
 	}
 }

@@ -86,6 +86,9 @@ type Worker struct {
 	held    map[string]*shardRun
 	outbox  []PointRecord
 	doneBox []ShardResult
+	// unheld counts the beats in a row that asked to wait but were not
+	// held (see beat).
+	unheld int
 	// finished holds one pending "a shard finished" signal for Run.
 	finished chan struct{}
 }
@@ -124,16 +127,16 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	idle := true // a joined worker holds nothing, so it long-polls at once
+	now := true // a joined worker holds nothing, so it long-polls at once
 	for {
-		if !idle {
+		if !now {
 			select {
 			case <-ctx.Done():
 			case <-tick.C:
 			case <-w.finished:
 			}
 		}
-		idle = false
+		now = false
 		if ctx.Err() != nil {
 			w.shutdown()
 			w.cfg.Transport.Leave(context.Background(), LeaveRequest{Worker: w.cfg.ID, Epoch: w.epochNow()})
@@ -150,8 +153,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := faultinject.Check("cluster", "heartbeat/"+w.cfg.ID); err != nil {
 			continue
 		}
-		// A failed beat leaves idle false: the next one waits for the tick.
-		if idle, err = w.beat(ctx, interval); errors.Is(err, ErrUnknownWorker) {
+		// After a failed beat the next one waits for the tick.
+		if now, err = w.beat(ctx, interval); errors.Is(err, ErrUnknownWorker) {
 			// Dropped by the coordinator (missed leases, or it
 			// restarted). Cancel everything and start over; the
 			// outbox survives so finished work still gets delivered.
@@ -159,7 +162,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if _, err = w.join(ctx); err != nil {
 				return err
 			}
-			idle = true
+			now = true
 		}
 	}
 }
@@ -189,8 +192,13 @@ func (w *Worker) epochNow() int64 {
 
 // beat performs one heartbeat round trip and applies the response. A
 // beat that carries nothing asks the coordinator to hold it for up to
-// wait. It reports whether the worker is left idle: nothing running and
-// nothing to deliver.
+// wait. It reports whether the next beat should go at once: the worker is
+// left idle (nothing running, nothing to deliver), unless its last two
+// beats asked to wait and came back empty well inside their wait. Such a
+// beat was not held: another worker took the shard first (the next beat
+// is then held as usual), or the coordinator does not hold beats. After
+// two in a row the next beat waits for the tick, so an idle worker never
+// beats in a loop.
 func (w *Worker) beat(ctx context.Context, wait time.Duration) (bool, error) {
 	w.mu.Lock()
 	req := HeartbeatRequest{
@@ -208,10 +216,12 @@ func (w *Worker) beat(ctx context.Context, wait time.Duration) (bool, error) {
 	sentPoints, sentDone := len(w.outbox), len(w.doneBox)
 	w.mu.Unlock()
 
+	sent := time.Now() //determlint:allow protocol pacing; never reaches a measurement
 	resp, err := w.cfg.Transport.Heartbeat(ctx, req)
 	if err != nil {
 		return false, err
 	}
+	waited := req.WaitMs == 0 || len(resp.Assignments) > 0 || time.Since(sent) >= wait/2
 	w.mu.Lock()
 	// A successful round trip acknowledges exactly what was sent;
 	// anything appended since stays queued.
@@ -229,7 +239,12 @@ func (w *Worker) beat(ctx context.Context, wait time.Duration) (bool, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.held)+len(w.outbox)+len(w.doneBox) == 0, nil
+	if waited {
+		w.unheld = 0
+	} else {
+		w.unheld++
+	}
+	return w.unheld < 2 && len(w.held)+len(w.outbox)+len(w.doneBox) == 0, nil
 }
 
 // start launches one assignment's executor goroutine.

@@ -15,6 +15,3 @@ func DropFreeList(size uint64) {
 	defer freeMu.Unlock()
 	delete(freeBufs, size)
 }
-
-// Allocated reports how many image buffers have been created so far.
-func Allocated() int64 { return allocated.Load() }

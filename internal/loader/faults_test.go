@@ -10,13 +10,15 @@ import (
 	"biaslab/internal/core"
 	"biaslab/internal/faultinject"
 	"biaslab/internal/loader"
+	"biaslab/internal/tenancy"
 )
 
 // TestFailedRunsReturnTheirBuffers: a measurement that fails after its
 // images were loaded — a failed co-runner load, a failed solo run, a
-// failed co-run — still releases them, so failing over and over creates
-// no new buffer. A buffer mapped outside the Go heap that is dropped
-// instead is never freed. Run with -tags faultinject.
+// failed co-run — still releases them, so the free lists hold as many
+// buffers after any number of failures as before, and a load never needs
+// a new one. A buffer mapped outside the Go heap that is dropped instead
+// is never freed. Run with -tags faultinject.
 func TestFailedRunsReturnTheirBuffers(t *testing.T) {
 	defer faultinject.Reset()
 	ctx := context.Background()
@@ -26,13 +28,17 @@ func TestFailedRunsReturnTheirBuffers(t *testing.T) {
 	co := solo
 	co.CoRunner = core.CoRunner{Bench: "lbm"}
 	// One good run of each puts a subject and a co-runner buffer on the
-	// free lists.
+	// free lists, so a dropped buffer shows as a shorter list.
 	for _, s := range []core.Setup{solo, co} {
 		if _, err := r.Measure(ctx, subject, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := loader.Allocated()
+	sizes := []uint64{loader.DefaultMemSize, tenancy.CoRunnerMemSize}
+	var before []int
+	for _, size := range sizes {
+		before = append(before, loader.FreeLen(size))
+	}
 	for _, tc := range []struct {
 		name  string
 		setup core.Setup
@@ -54,11 +60,13 @@ func TestFailedRunsReturnTheirBuffers(t *testing.T) {
 				t.Fatalf("%s: %d faults fired, want 1", tc.name, faultinject.Fired())
 			}
 		}
+		for i, size := range sizes {
+			if n := loader.FreeLen(size); n != before[i] {
+				t.Errorf("%s: %d-byte free list holds %d buffers after 8 failures, %d before", tc.name, size, n, before[i])
+			}
+		}
 	}
 	faultinject.Reset()
-	if n := loader.Allocated() - before; n != 0 {
-		t.Errorf("24 failed measurements created %d new image buffers, want 0", n)
-	}
 	// The recycled buffers are still pristine: a good run after the
 	// failures measures what it measured before them.
 	for _, s := range []core.Setup{solo, co} {

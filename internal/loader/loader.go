@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"biaslab/internal/isa"
 	"biaslab/internal/linker"
@@ -185,9 +184,6 @@ type Image struct {
 var (
 	freeMu   sync.Mutex
 	freeBufs = map[uint64][][]byte{}
-	// allocated counts the buffers ever created; with nothing dropped it
-	// is the peak number in use at once.
-	allocated atomic.Int64
 )
 
 // clearChunk is the granularity at which Release looks for written bytes:
@@ -210,7 +206,6 @@ func getBuf(size uint64) []byte {
 		return mem
 	}
 	freeMu.Unlock()
-	allocated.Add(1)
 	return newBuf(size)
 }
 

@@ -444,13 +444,11 @@ func (r *Runner) measure(ctx context.Context, b *bench.Benchmark, setup Setup, p
 	}); err != nil {
 		return nil, err
 	}
-	// The image is released on every path, a failed or abandoned run's
-	// too: Release clears exactly the bytes that differ from zero,
-	// whatever state the run left them in, so the free list only ever
-	// holds pristine buffers, and a buffer mapped outside the Go heap is
-	// never lost. Results copy what they need; a pooled machine keeps
-	// pointing at the buffer but reads it only after its next run has
-	// replaced it.
+	// Release the image on every path, a failed or abandoned run's too:
+	// Release is exact whatever the run left in the buffer, and nothing
+	// else frees a buffer mapped outside the Go heap. Results copy what
+	// they need; a pooled machine keeps pointing at the buffer but reads
+	// it only after its next run has replaced it.
 	defer img.Release()
 
 	var res *machine.Result

@@ -352,8 +352,6 @@ func Load(exe *linker.Executable, opts Options) (*Image, error) {
 	if sp <= exe.MemTop() {
 		// Unreachable given the up-front space check; keep the guard as an
 		// internal invariant.
-		clearWritten(mem)
-		putBuf(mem)
 		return nil, fmt.Errorf("%w: stack underflow after environment placement", ErrStackOverflow)
 	}
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -45,47 +46,21 @@ func NewEnvPlan(benchName, machineName string, sizes []uint64, maps ...*Conflict
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("analysis: NewEnvPlan needs at least one conflict map")
 	}
-	p := &EnvPlan{Bench: benchName, Machine: machineName, Sizes: sizes, Exact: true}
-	mark := make([]bool, len(sizes))
-	seenReason := map[string]bool{}
-	addReason := func(r string) {
-		if !seenReason[r] {
-			seenReason[r] = true
-			p.Reasons = append(p.Reasons, r)
-		}
-	}
+	b := newPlanBuilder(&EnvPlan{Bench: benchName, Machine: machineName, Sizes: sizes, Exact: true})
 	for _, cm := range maps {
-		if len(cm.Sizes) != len(sizes) {
-			return nil, fmt.Errorf("analysis: conflict map grid has %d sizes, plan grid %d", len(cm.Sizes), len(sizes))
-		}
-		for i, sz := range cm.Sizes {
-			if sz != sizes[i] {
-				return nil, fmt.Errorf("analysis: conflict map grid differs from plan grid at index %d (%d vs %d)", i, sz, sizes[i])
-			}
+		if err := b.add("conflict map", cm.Sizes, cm.Approx, cm.ApproxReasons); err != nil {
+			return nil, err
 		}
 		for i := 1; i < len(cm.Signatures); i++ {
 			if !cm.Signatures[i].same(cm.Signatures[i-1]) {
-				mark[i] = true
-			}
-		}
-		if cm.Approx {
-			p.Exact = false
-			for _, r := range cm.ApproxReasons {
-				addReason(r)
+				b.mark[i] = true
 			}
 		}
 		if cm.PressureAnywhere {
-			p.Exact = false
-			addReason("set pressure at some grid point")
+			b.inexact("set pressure at some grid point")
 		}
 	}
-	for i, m := range mark {
-		if m {
-			p.Boundaries = append(p.Boundaries, i)
-		}
-	}
-	sort.Strings(p.Reasons)
-	return p, nil
+	return b.plan(), nil
 }
 
 // NewChannelPlan merges one or more channel conflict maps computed over the
@@ -100,49 +75,72 @@ func NewChannelPlan(benchName, machineName string, values []uint64, maps ...*Cha
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("analysis: NewChannelPlan needs at least one channel conflict map")
 	}
-	p := &EnvPlan{Bench: benchName, Machine: machineName, Channel: maps[0].Channel, Sizes: values, Exact: true}
-	mark := make([]bool, len(values))
-	seenReason := map[string]bool{}
-	addReason := func(r string) {
-		if !seenReason[r] {
-			seenReason[r] = true
-			p.Reasons = append(p.Reasons, r)
-		}
-	}
+	b := newPlanBuilder(&EnvPlan{Bench: benchName, Machine: machineName, Channel: maps[0].Channel, Sizes: values, Exact: true})
 	for _, cm := range maps {
-		if cm.Channel != p.Channel {
-			return nil, fmt.Errorf("analysis: mixed channels %q and %q in one plan", p.Channel, cm.Channel)
+		if cm.Channel != b.p.Channel {
+			return nil, fmt.Errorf("analysis: mixed channels %q and %q in one plan", b.p.Channel, cm.Channel)
 		}
-		if len(cm.Values) != len(values) {
-			return nil, fmt.Errorf("analysis: channel map grid has %d values, plan grid %d", len(cm.Values), len(values))
-		}
-		for i, v := range cm.Values {
-			if v != values[i] {
-				return nil, fmt.Errorf("analysis: channel map grid differs from plan grid at index %d (%d vs %d)", i, v, values[i])
-			}
+		if err := b.add("channel map", cm.Values, cm.Approx, cm.ApproxReasons); err != nil {
+			return nil, err
 		}
 		for i := 1; i < len(values); i++ {
 			pr := cm.Pair(i-1, i)
 			if pr == nil || pr.Verdict != VerdictEqual {
-				mark[i] = true
+				b.mark[i] = true
 			}
 			if pr != nil && pr.Verdict == VerdictUnknown {
-				p.Exact = false
-				addReason(fmt.Sprintf("undecided pair %d→%d: %s", values[i-1], values[i], pr.Reason))
-			}
-		}
-		if cm.Approx {
-			p.Exact = false
-			for _, r := range cm.ApproxReasons {
-				addReason(r)
+				b.inexact(fmt.Sprintf("undecided pair %d→%d: %s", values[i-1], values[i], pr.Reason))
 			}
 		}
 	}
-	for i, m := range mark {
+	return b.plan(), nil
+}
+
+// planBuilder holds what a plan's contributing maps have said so far: each
+// map marks the grid points that differ from their left neighbour and
+// names the reasons it is inexact.
+type planBuilder struct {
+	p    *EnvPlan
+	mark []bool // mark[i]: some map predicts point i differs from point i-1
+}
+
+func newPlanBuilder(p *EnvPlan) *planBuilder {
+	return &planBuilder{p: p, mark: make([]bool, len(p.Sizes))}
+}
+
+// add checks a contributing map's grid against the plan's and records the
+// map's approximation; kind names the map type in errors.
+func (b *planBuilder) add(kind string, grid []uint64, approx bool, reasons []string) error {
+	if len(grid) != len(b.p.Sizes) {
+		return fmt.Errorf("analysis: %s grid has %d points, plan grid %d", kind, len(grid), len(b.p.Sizes))
+	}
+	for i, v := range grid {
+		if v != b.p.Sizes[i] {
+			return fmt.Errorf("analysis: %s grid differs from plan grid at index %d (%d vs %d)", kind, i, v, b.p.Sizes[i])
+		}
+	}
+	if approx {
+		b.p.Exact = false
+		b.p.Reasons = append(b.p.Reasons, reasons...)
+	}
+	return nil
+}
+
+// inexact marks the plan inexact for reason.
+func (b *planBuilder) inexact(reason string) {
+	b.p.Exact = false
+	b.p.Reasons = append(b.p.Reasons, reason)
+}
+
+// plan returns the finished plan: the marked points as boundaries, the
+// reasons sorted and de-duplicated.
+func (b *planBuilder) plan() *EnvPlan {
+	for i, m := range b.mark {
 		if m {
-			p.Boundaries = append(p.Boundaries, i)
+			b.p.Boundaries = append(b.p.Boundaries, i)
 		}
 	}
-	sort.Strings(p.Reasons)
-	return p, nil
+	sort.Strings(b.p.Reasons)
+	b.p.Reasons = slices.Compact(b.p.Reasons)
+	return b.p
 }

@@ -50,14 +50,13 @@ package audit
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"sync"
 
 	"biaslab/internal/analysis"
 	"biaslab/internal/bench"
 	"biaslab/internal/compiler"
 	"biaslab/internal/core"
 	"biaslab/internal/machine"
+	"biaslab/internal/memo"
 	"biaslab/internal/server"
 	"biaslab/internal/stats"
 )
@@ -132,9 +131,7 @@ type Finding = server.AuditFinding
 // Auditor is safe for concurrent use.
 type Auditor struct {
 	runner func(size bench.Size) *core.Runner
-
-	mu    sync.Mutex
-	plans map[planKey]*analysis.EnvPlan
+	plans  *memo.Map[planKey, *analysis.EnvPlan]
 }
 
 // planKey is exactly what a planner reads. The level is not in it: every
@@ -152,12 +149,11 @@ type planKey struct {
 	shift    uint64
 	pad      uint64
 	base     uint64
-	order    string
-	values   string
+	order    string // memo.SliceKey of the link order
+	values   string // memo.SliceKey of the grid
 }
 
-// planMemoCap bounds the plan memo, as linkCacheCap bounds core.Runner's
-// link cache. Eviction is arbitrary: a plan is a pure function of its key.
+// planMemoCap bounds the plan memo.
 const planMemoCap = 512
 
 // envChannel is the channel whose oracle the coarse-env-grid and
@@ -190,45 +186,18 @@ func (a *Auditor) plan(c server.JobSpec, ch server.Channel, values []uint64) (*a
 		machine: setup.Machine, geometry: geometry, compiler: cc,
 		envBytes: setup.EnvBytes, shift: setup.StackShift,
 		pad: setup.TextPad, base: setup.TextBase,
-		order:  fmt.Sprint(setup.LinkOrder),
-		values: uintsKey(values),
+		order:  memo.SliceKey(setup.LinkOrder),
+		values: memo.SliceKey(values),
 	}
-	a.mu.Lock()
-	p, ok := a.plans[key]
-	a.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	if p, err = ch.Plan(r, b, setup, values); err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.plans) >= planMemoCap {
-		//determlint:allow memo eviction choice never reaches a finding
-		for k := range a.plans {
-			delete(a.plans, k)
-			break
-		}
-	}
-	a.plans[key] = p
-	return p, nil
-}
-
-// uintsKey encodes a value grid for use in a map key.
-func uintsKey(values []uint64) string {
-	b := make([]byte, 0, 5*len(values))
-	for _, v := range values {
-		b = strconv.AppendUint(b, v, 10)
-		b = append(b, ',')
-	}
-	return string(b)
+	return a.plans.Get(key, func() (*analysis.EnvPlan, error) {
+		return ch.Plan(r, b, setup, values)
+	})
 }
 
 // New builds an Auditor over a Runner source — server.(*Server).Runner for
 // the daemon, or any compatible closure for the CLI.
 func New(runner func(size bench.Size) *core.Runner) *Auditor {
-	return &Auditor{runner: runner, plans: map[planKey]*analysis.EnvPlan{}}
+	return &Auditor{runner: runner, plans: memo.New[planKey, *analysis.EnvPlan](planMemoCap)}
 }
 
 // Spec is one audited spec with its provenance and file-level

@@ -1,8 +1,3 @@
-//go:build !race
-
-// The race detector makes sync.Pool drop a random share of returned items,
-// so an allocation guard that relies on pooling holds only without it.
-
 package core
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strconv"
 	"sync"
 
 	"biaslab/internal/bench"
@@ -14,6 +13,7 @@ import (
 	"biaslab/internal/linker"
 	"biaslab/internal/loader"
 	"biaslab/internal/machine"
+	"biaslab/internal/memo"
 	"biaslab/internal/obj"
 	"biaslab/internal/tenancy"
 )
@@ -26,11 +26,12 @@ type Measurement struct {
 	Checksum uint64
 }
 
-// Runner executes benchmarks under setups. It caches compiled objects per
+// Runner executes benchmarks under setups. It memoizes compiled objects per
 // (benchmark, compiler config) — compilation does not depend on environment
 // or link order — and linked executables per (benchmark, config, link
-// order, padding) — linking does not depend on the environment either, so
-// an env sweep links once — and reuses pooled machine instances per model. A Runner also enforces the metamorphic invariant at
+// order, padding, base) — linking does not depend on the environment
+// either, so an env sweep links once — and reuses pooled machine instances
+// per model. A Runner also enforces the metamorphic invariant at
 // the heart of the paper: across every setup, a benchmark's *output*
 // (checksum) must be bit-identical even though its *cycles* differ; any
 // violation is a toolchain bug and is reported as an error.
@@ -46,21 +47,30 @@ type Runner struct {
 	// it before the Runner's first use.
 	OnMeasure func(*Measurement)
 
-	mu        sync.Mutex
-	objCache  map[objKey][]*obj.Object
-	progCache map[objKey]*ir.Program     // IR kept alongside objects for the bias oracle
-	compiling map[objKey]*sync.WaitGroup // in-flight compiles (singleflight)
-	linkCache map[linkKey]*linker.Executable
-	linking   map[linkKey]*sync.WaitGroup   // in-flight links (singleflight)
-	machines  map[string][]*machine.Machine // idle pool per model
-	custom    map[string]machine.Config     // RegisterMachine configs
-	oracles   map[string]uint64             // benchmark → expected checksum
+	objects     *memo.Map[objKey, compiled]
+	executables *memo.Map[linkKey, *linker.Executable]
+
+	mu       sync.Mutex
+	machines map[string][]*machine.Machine // idle pool per model
+	custom   map[string]machine.Config     // RegisterMachine configs
+	oracles  map[string]uint64             // benchmark → expected checksum
 }
 
 type objKey struct {
 	bench string
 	cfg   compiler.Config
 }
+
+// compiled is one (benchmark, config)'s objects in default link order, with
+// the IR kept alongside for the bias oracle.
+type compiled struct {
+	objs []*obj.Object
+	prog *ir.Program
+}
+
+// compiledCap bounds the object memo above what any workload reaches: 12
+// benchmarks × 2 personalities × 4 levels.
+const compiledCap = 96
 
 // linkKey identifies one linked executable: linking depends only on the
 // compiled objects (benchmark × compiler config), the unit order, and the
@@ -69,146 +79,64 @@ type objKey struct {
 type linkKey struct {
 	bench string
 	cfg   compiler.Config
-	order string // LinkOrder encoded as text ([]int is not comparable)
+	order string // memo.SliceKey(LinkOrder): []int is not comparable
 	pad   uint64
 	base  uint64
 }
 
-// orderKey encodes a link order for use in a map key.
-func orderKey(order []int) string {
-	if order == nil {
-		return ""
-	}
-	b := make([]byte, 0, 3*len(order))
-	for _, v := range order {
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, ',')
-	}
-	return string(b)
-}
-
-// linkCacheCap bounds the executable cache. A full link-order study is
-// hundreds of permutations per (benchmark, config); eviction is arbitrary
-// because the cache is pure memoization — a re-link is deterministic.
-const linkCacheCap = 512
+// executablesCap bounds the executable memo. A full link-order study is
+// hundreds of permutations per (benchmark, config).
+const executablesCap = 512
 
 // NewRunner builds a runner at the given workload size. A Runner is safe
-// for concurrent use: machines are pooled per model, compiled objects are
-// cached under a lock, and measurements are deterministic regardless of
-// scheduling (every run fully resets its machine).
+// for concurrent use: machines are pooled per model, compiled objects and
+// executables are memoized, and measurements are deterministic regardless
+// of scheduling (every run fully resets its machine).
 func NewRunner(size bench.Size) *Runner {
 	return &Runner{
 		Size:            size,
 		MaxInstructions: 1 << 31,
-		objCache:        map[objKey][]*obj.Object{},
-		progCache:       map[objKey]*ir.Program{},
-		compiling:       map[objKey]*sync.WaitGroup{},
-		linkCache:       map[linkKey]*linker.Executable{},
-		linking:         map[linkKey]*sync.WaitGroup{},
+		objects:         memo.New[objKey, compiled](compiledCap),
+		executables:     memo.New[linkKey, *linker.Executable](executablesCap),
 		machines:        map[string][]*machine.Machine{},
 		oracles:         map[string]uint64{},
 	}
 }
 
-// objects compiles (or fetches cached) objects for b under cfg, compiling
-// each (benchmark, config) at most once even under concurrency.
-func (r *Runner) objects(b *bench.Benchmark, cfg compiler.Config) ([]*obj.Object, error) {
-	key := objKey{bench: b.Name, cfg: cfg}
-	for {
-		r.mu.Lock()
-		if objs, ok := r.objCache[key]; ok {
-			r.mu.Unlock()
-			return objs, nil
-		}
-		if wg, inflight := r.compiling[key]; inflight {
-			r.mu.Unlock()
-			wg.Wait()
-			continue // cache now populated (or compile failed; retry compiles)
-		}
-		wg := &sync.WaitGroup{}
-		wg.Add(1)
-		r.compiling[key] = wg
-		r.mu.Unlock()
-
-		objs, prog, err := compiler.Compile(b.Sources(r.Size), cfg)
-		r.mu.Lock()
-		delete(r.compiling, key)
-		if err == nil {
-			r.objCache[key] = objs
-			r.progCache[key] = prog
-		}
-		r.mu.Unlock()
-		wg.Done()
-		if err != nil {
-			return nil, fmt.Errorf("core: compiling %s with %s: %w", b.Name, cfg, err)
-		}
-		return objs, nil
-	}
-}
-
 // Compiled returns b's objects, in default link order, and its IR program
-// under cfg, from the compile cache Measure uses, compiling if needed. The
+// under cfg, from the object memo Measure uses, compiling if needed. The
 // oracle uses the program to size address-taken frame slots exactly;
 // predictions from a nil program would merely be flagged approximate.
 func (r *Runner) Compiled(b *bench.Benchmark, cfg compiler.Config) ([]*obj.Object, *ir.Program, error) {
-	objs, err := r.objects(b, cfg)
+	c, err := r.objects.Get(objKey{bench: b.Name, cfg: cfg}, func() (compiled, error) {
+		objs, prog, err := compiler.Compile(b.Sources(r.Size), cfg)
+		return compiled{objs, prog}, err
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: compiling %s with %s: %w", b.Name, cfg, err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return objs, r.progCache[objKey{bench: b.Name, cfg: cfg}], nil
+	return c.objs, c.prog, nil
 }
 
-// linked returns the executable for b's objects under the given order and
-// padding, linking each distinct (benchmark, config, order, pad) at most
-// once even under concurrency — the same singleflight discipline as
-// objects(). Executables are immutable after linking, so a cached one is
-// safely shared by concurrent loads.
-func (r *Runner) linked(b *bench.Benchmark, setup Setup, ordered []*obj.Object) (*linker.Executable, error) {
+// link returns the executable for b's objects under the given order and
+// padding from the executable memo, linking if needed. Executables are
+// immutable after linking, so a memoized one is safely shared by
+// concurrent loads.
+func (r *Runner) link(b *bench.Benchmark, setup Setup, ordered []*obj.Object) (*linker.Executable, error) {
 	key := linkKey{
 		bench: b.Name,
 		cfg:   setup.Compiler,
-		order: orderKey(setup.LinkOrder),
+		order: memo.SliceKey(setup.LinkOrder),
 		pad:   setup.TextPad,
 		base:  setup.TextBase,
 	}
-	for {
-		r.mu.Lock()
-		if exe, ok := r.linkCache[key]; ok {
-			r.mu.Unlock()
-			return exe, nil
-		}
-		if wg, inflight := r.linking[key]; inflight {
-			r.mu.Unlock()
-			wg.Wait()
-			continue // cache now populated (or link failed; retry links)
-		}
-		wg := &sync.WaitGroup{}
-		wg.Add(1)
-		r.linking[key] = wg
-		r.mu.Unlock()
-
-		exe, err := linker.Link(ordered, linker.Options{PadObjects: setup.TextPad, TextBase: setup.TextBase})
-		r.mu.Lock()
-		delete(r.linking, key)
-		if err == nil {
-			if len(r.linkCache) >= linkCacheCap {
-				//determlint:allow cache eviction choice never reaches a measurement
-				for k := range r.linkCache {
-					delete(r.linkCache, k)
-					break
-				}
-			}
-			r.linkCache[key] = exe
-		}
-		r.mu.Unlock()
-		wg.Done()
-		if err != nil {
-			return nil, fmt.Errorf("core: linking %s: %w", b.Name, err)
-		}
-		return exe, nil
+	exe, err := r.executables.Get(key, func() (*linker.Executable, error) {
+		return linker.Link(ordered, linker.Options{PadObjects: setup.TextPad, TextBase: setup.TextBase})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: linking %s: %w", b.Name, err)
 	}
+	return exe, nil
 }
 
 // acquireMachine takes an idle machine for the named model from the pool,
@@ -252,7 +180,7 @@ func (r *Runner) UnitNames(b *bench.Benchmark) []string {
 // anything. It is the entry point for static analyses (the bias oracle)
 // that must reason about the very image the measurements execute.
 func (r *Runner) Executable(b *bench.Benchmark, setup Setup) (*linker.Executable, error) {
-	objs, err := r.objects(b, setup.Compiler)
+	objs, _, err := r.Compiled(b, setup.Compiler)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +194,7 @@ func (r *Runner) Executable(b *bench.Benchmark, setup Setup) (*linker.Executable
 			ordered[i] = objs[src]
 		}
 	}
-	return r.linked(b, setup, ordered)
+	return r.link(b, setup, ordered)
 }
 
 // Measure runs benchmark b under setup and returns the measurement. The
@@ -374,7 +302,7 @@ func (r *Runner) stagedExecutable(b *bench.Benchmark, setup Setup, sid string) (
 			return err
 		}
 		var err error
-		objs, err = r.objects(b, setup.Compiler)
+		objs, _, err = r.Compiled(b, setup.Compiler)
 		return err
 	}); err != nil {
 		return nil, err
@@ -396,7 +324,7 @@ func (r *Runner) stagedExecutable(b *bench.Benchmark, setup Setup, sid string) (
 			}
 		}
 		var err error
-		exe, err = r.linked(b, setup, ordered)
+		exe, err = r.link(b, setup, ordered)
 		return err
 	}); err != nil {
 		return nil, err

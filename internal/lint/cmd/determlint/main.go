@@ -8,9 +8,9 @@
 // Package patterns are directories, with "..." expanding recursively.
 // Without -all, only the measured roots (internal/machine, internal/isa,
 // internal/core, internal/stats, internal/audit, internal/server,
-// internal/cluster) are checked — the determinism contract applies to the
-// measurement core and the serving layers whose output must be
-// byte-identical, not to drivers or tests. Exit status is 1 when any
+// internal/cluster, internal/memo) are checked — the determinism contract
+// applies to the measurement core and the serving layers whose output must
+// be byte-identical, not to drivers or tests. Exit status is 1 when any
 // finding is reported, 2 on usage or I/O errors.
 package main
 
@@ -28,9 +28,9 @@ import (
 // measuredRoots are the packages the determinism contract covers, relative
 // to the module root: the measurement core proper, plus the serving layers
 // whose output must be byte-identical across runs (results, rendered
-// reports, audit findings) and the statistics package behind every
-// interval. Genuine wall-clock machinery (cluster leases, heartbeats)
-// carries //determlint:allow annotations at each use.
+// reports, audit findings), the statistics package behind every interval,
+// and the memo they cache through. Genuine wall-clock machinery (cluster
+// leases, heartbeats) carries //determlint:allow annotations at each use.
 var measuredRoots = []string{
 	filepath.Join("internal", "machine"),
 	filepath.Join("internal", "isa"),
@@ -39,6 +39,7 @@ var measuredRoots = []string{
 	filepath.Join("internal", "audit"),
 	filepath.Join("internal", "server"),
 	filepath.Join("internal", "cluster"),
+	filepath.Join("internal", "memo"),
 }
 
 func main() {

@@ -18,6 +18,7 @@ import (
 
 	"biaslab/internal/isa"
 	"biaslab/internal/linker"
+	"biaslab/internal/memo"
 )
 
 // Default geometry: a 16 MiB address space with the stack at the top.
@@ -70,16 +71,12 @@ func EnvBytes(env []string) uint64 {
 	return n
 }
 
-// envCacheCap bounds the synthetic-environment memo: an env sweep touches
-// one entry per grid point, so even the paper's densest grid (512 sizes)
-// fits. Eviction is arbitrary — the builder is deterministic, so evicting
-// only costs a rebuild, never changes a result.
-const envCacheCap = 1024
+// syntheticEnvCap bounds the synthetic-environment memo: an env sweep
+// touches one entry per grid point, so even the paper's densest grid (512
+// sizes) fits.
+const syntheticEnvCap = 1024
 
-var (
-	envMu    sync.Mutex
-	envCache = map[uint64][]string{}
-)
+var syntheticEnvs = memo.New[uint64, []string](syntheticEnvCap)
 
 // SyntheticEnv builds an environment whose EnvBytes is exactly total when
 // total is representable (total == 8, the empty environment, or total ≥ 17,
@@ -91,23 +88,9 @@ var (
 // measuring two optimization levels at each grid point builds each
 // environment once, not once per load. Callers must treat it as read-only.
 func SyntheticEnv(total uint64) []string {
-	envMu.Lock()
-	if env, ok := envCache[total]; ok {
-		envMu.Unlock()
-		return env
-	}
-	envMu.Unlock()
-	env := buildSyntheticEnv(total)
-	envMu.Lock()
-	if len(envCache) >= envCacheCap {
-		//determlint:allow cache eviction choice never reaches a measurement
-		for k := range envCache {
-			delete(envCache, k)
-			break
-		}
-	}
-	envCache[total] = env
-	envMu.Unlock()
+	env, _ := syntheticEnvs.Get(total, func() ([]string, error) { // never fails
+		return buildSyntheticEnv(total), nil
+	})
 	return env
 }
 

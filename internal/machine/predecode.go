@@ -1,11 +1,10 @@
 package machine
 
 import (
-	"sync"
-
 	"biaslab/internal/isa"
 	"biaslab/internal/linker"
 	"biaslab/internal/loader"
+	"biaslab/internal/memo"
 )
 
 // uop is one predecoded micro-operation: an instruction with every
@@ -94,46 +93,26 @@ func predecode(text []byte, textBase uint64, dst []uop) []uop {
 	return dst
 }
 
-// predecodeCacheCap bounds the shared predecode cache. Entries are keyed by
-// executable identity; a 128-point environment sweep touches exactly one
-// entry, and even a full suite × compiler-config × link-order study stays
-// within a few hundred. Eviction is arbitrary — the cache is a pure
-// memoization, so evicting never changes results, only costs a re-decode.
-const predecodeCacheCap = 256
+// predecodedCap bounds the predecode memo. Entries are keyed by executable
+// identity; a 128-point environment sweep touches exactly one entry, and
+// even a full suite × compiler-config × link-order study stays within a
+// few hundred.
+const predecodedCap = 256
 
-var (
-	predecodeMu    sync.Mutex
-	predecodeCache = map[*linker.Executable][]uop{}
-)
+var predecoded = memo.New[*linker.Executable, []uop](predecodedCap)
 
 // predecodedFor returns the micro-op array for img. When the image retains
 // its executable, the array is memoized on the executable's identity so an
 // environment sweep over one binary decodes it once, not once per run; the
-// cached slice is immutable and safely shared across machines. Images
+// memoized slice is immutable and safely shared across machines. Images
 // without an executable (hand-assembled tests) decode into scratch.
 func predecodedFor(img *loader.Image, scratch []uop) []uop {
 	text := img.Mem[img.TextBase : img.TextBase+img.TextSize]
 	if img.Exe == nil {
 		return predecode(text, img.TextBase, scratch)
 	}
-	predecodeMu.Lock()
-	if u, ok := predecodeCache[img.Exe]; ok {
-		predecodeMu.Unlock()
-		return u
-	}
-	predecodeMu.Unlock()
-	// Decode outside the lock; concurrent racers produce identical arrays
-	// and the last store wins.
-	u := predecode(text, img.TextBase, nil)
-	predecodeMu.Lock()
-	if len(predecodeCache) >= predecodeCacheCap {
-		//determlint:allow cache eviction choice never reaches a measurement
-		for k := range predecodeCache {
-			delete(predecodeCache, k)
-			break
-		}
-	}
-	predecodeCache[img.Exe] = u
-	predecodeMu.Unlock()
+	u, _ := predecoded.Get(img.Exe, func() ([]uop, error) { // never fails
+		return predecode(text, img.TextBase, nil), nil
+	})
 	return u
 }

@@ -8,16 +8,15 @@ import (
 	"biaslab/internal/core"
 )
 
-// metrics is the daemon's counter set. Job-state counts are derived from
-// the live jobs map at snapshot time (the jobs map is the truth); the rest
-// are monotonic counters or gauges maintained at the events themselves.
+// metrics is the daemon's counter set. Job-state counts, the queue depth
+// and the busy workers are derived from the live jobs map at snapshot time
+// (the jobs map is the truth); the rest are monotonic counters maintained
+// at the events themselves.
 type metrics struct {
 	mu            sync.Mutex
 	jobsSubmitted uint64
 	cacheHits     uint64
 	cacheMisses   uint64
-	queueDepth    int
-	workersBusy   int
 	// Per-point sweep progress: fresh measurements vs journal replays.
 	pointsMeasured uint64
 	pointsReplayed uint64
@@ -43,10 +42,6 @@ func (m *metrics) submitted(cacheHit bool) {
 		m.cacheMisses++
 	}
 }
-
-func (m *metrics) enqueued()  { m.mu.Lock(); m.queueDepth++; m.mu.Unlock() }
-func (m *metrics) dequeued()  { m.mu.Lock(); m.queueDepth--; m.mu.Unlock() }
-func (m *metrics) busy(d int) { m.mu.Lock(); m.workersBusy += d; m.mu.Unlock() }
 
 func (m *metrics) point(replayed bool) {
 	m.mu.Lock()

@@ -256,7 +256,6 @@ func (s *Server) SubmitStrict(spec JobSpec, strict bool) (*SubmitResponse, error
 	}
 	s.mu.Unlock()
 	s.metrics.submitted(false)
-	s.metrics.enqueued()
 	return &SubmitResponse{ID: j.id, Key: key, State: StateQueued, Audit: findings}, nil
 }
 
@@ -338,9 +337,9 @@ func (s *Server) MetricsSnapshot() Snapshot {
 		Jobs:            byState,
 		CacheHits:       m.cacheHits,
 		CacheMisses:     m.cacheMisses,
-		QueueDepth:      m.queueDepth,
+		QueueDepth:      int(byState[StateQueued]),
 		Workers:         s.cfg.Workers,
-		WorkersBusy:     m.workersBusy,
+		WorkersBusy:     int(byState[StateRunning]),
 		PointsMeasured:  m.pointsMeasured,
 		PointsReplayed:  m.pointsReplayed,
 		Measurements:    m.measurements,
@@ -384,7 +383,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for {
 		select {
 		case j := <-s.queue:
-			s.metrics.dequeued()
 			s.finishJob(j, StateCanceled, context.Canceled)
 		default:
 			return s.store.Close()
@@ -400,10 +398,7 @@ func (s *Server) worker() {
 		case <-s.ctx.Done():
 			return
 		case j := <-s.queue:
-			s.metrics.dequeued()
-			s.metrics.busy(1)
 			s.runJob(j)
-			s.metrics.busy(-1)
 		}
 	}
 }

@@ -118,11 +118,15 @@ func (r *Runner) Compiled(b *bench.Benchmark, cfg compiler.Config) ([]*obj.Objec
 	return c.objs, c.prog, nil
 }
 
-// link returns the executable for b's objects under the given order and
-// padding from the executable memo, linking if needed. Executables are
-// immutable after linking, so a memoized one is safely shared by
-// concurrent loads.
-func (r *Runner) link(b *bench.Benchmark, setup Setup, ordered []*obj.Object) (*linker.Executable, error) {
+// link returns the executable for b's compiled objects, in default link
+// order, under setup's link order and padding from the executable memo,
+// linking if needed. The key and the build both come from setup alone.
+// Executables are immutable after linking, so a memoized one is safely
+// shared by concurrent loads.
+func (r *Runner) link(b *bench.Benchmark, setup Setup, objs []*obj.Object) (*linker.Executable, error) {
+	if setup.LinkOrder != nil && !ValidOrder(setup.LinkOrder, len(objs)) {
+		return nil, fmt.Errorf("core: invalid link order %v for %d units", setup.LinkOrder, len(objs))
+	}
 	key := linkKey{
 		bench: b.Name,
 		cfg:   setup.Compiler,
@@ -131,6 +135,13 @@ func (r *Runner) link(b *bench.Benchmark, setup Setup, ordered []*obj.Object) (*
 		base:  setup.TextBase,
 	}
 	exe, err := r.executables.Get(key, func() (*linker.Executable, error) {
+		ordered := objs
+		if setup.LinkOrder != nil {
+			ordered = make([]*obj.Object, len(objs))
+			for i, src := range setup.LinkOrder {
+				ordered[i] = objs[src]
+			}
+		}
 		return linker.Link(ordered, linker.Options{PadObjects: setup.TextPad, TextBase: setup.TextBase})
 	})
 	if err != nil {
@@ -184,17 +195,7 @@ func (r *Runner) Executable(b *bench.Benchmark, setup Setup) (*linker.Executable
 	if err != nil {
 		return nil, err
 	}
-	ordered := objs
-	if setup.LinkOrder != nil {
-		if !ValidOrder(setup.LinkOrder, len(objs)) {
-			return nil, fmt.Errorf("core: invalid link order %v for %d units", setup.LinkOrder, len(objs))
-		}
-		ordered = make([]*obj.Object, len(objs))
-		for i, src := range setup.LinkOrder {
-			ordered[i] = objs[src]
-		}
-	}
-	return r.link(b, setup, ordered)
+	return r.link(b, setup, objs)
 }
 
 // Measure runs benchmark b under setup and returns the measurement. The
@@ -313,18 +314,8 @@ func (r *Runner) stagedExecutable(b *bench.Benchmark, setup Setup, sid string) (
 		if err := faultinject.Check("link", sid); err != nil {
 			return err
 		}
-		ordered := objs
-		if setup.LinkOrder != nil {
-			if !ValidOrder(setup.LinkOrder, len(objs)) {
-				return fmt.Errorf("core: invalid link order %v for %d units", setup.LinkOrder, len(objs))
-			}
-			ordered = make([]*obj.Object, len(objs))
-			for i, src := range setup.LinkOrder {
-				ordered[i] = objs[src]
-			}
-		}
 		var err error
-		exe, err = r.link(b, setup, ordered)
+		exe, err = r.link(b, setup, objs)
 		return err
 	}); err != nil {
 		return nil, err

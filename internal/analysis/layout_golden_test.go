@@ -74,13 +74,15 @@ var (
 	goldenPadValues  = []uint64{0, 4, 8, 16, 64, 4096, 32768}
 	goldenBaseValues = []uint64{linker.DefaultTextBase, linker.DefaultTextBase + 4, linker.DefaultTextBase + 16,
 		linker.DefaultTextBase + 64, linker.DefaultTextBase + 4096, linker.DefaultTextBase + 32768}
+	goldenEnvSizes = core.DefaultEnvSizes(16)
 )
 
 // TestLayoutGolden pins what the analysis engine derives from every
 // benchmark at size test: the sha256 of the JSON encoding of the whole
-// dataflow.Info and of the stack footprint at O2 and O3, and of the pad and
-// base plans on core2 and p4. A performance change to the engine must leave
-// every digest unchanged. Regenerate with
+// dataflow.Info and of the stack footprint at O2 and O3, of the pad and
+// base plans on core2 and p4, and of the env plan over
+// core.DefaultEnvSizes(16) on core2, p4 and m5. A performance change to the
+// engine must leave every digest unchanged. Regenerate with
 // `go test ./internal/analysis -run TestLayoutGolden -update` and review the
 // diff.
 func TestLayoutGolden(t *testing.T) {
@@ -106,8 +108,18 @@ func TestLayoutGolden(t *testing.T) {
 			b := b
 			t.Run(b.Name, func(t *testing.T) {
 				t.Parallel()
-				for _, m := range []string{"core2", "p4"} {
+				for _, m := range []string{"core2", "p4", "m5"} {
 					setup := core.DefaultSetup(m)
+					env, err := core.PlanEnvSweep(r, b, setup, goldenEnvSizes)
+					if err != nil {
+						t.Fatalf("%s env: %v", m, err)
+					}
+					mu.Lock()
+					got[b.Name+"/"+m+"/env"] = jsonDigest(t, env)
+					mu.Unlock()
+					if m == "m5" {
+						continue
+					}
 					pad, err := core.PlanPadSweep(r, b, setup, goldenPadValues)
 					if err != nil {
 						t.Fatalf("%s pad: %v", m, err)

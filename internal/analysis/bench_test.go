@@ -8,6 +8,7 @@ import (
 	"biaslab/internal/compiler"
 	"biaslab/internal/core"
 	"biaslab/internal/linker"
+	"biaslab/internal/machine"
 )
 
 // BenchmarkNewChannelLayout measures the static analyses of one linked
@@ -61,5 +62,38 @@ func BenchmarkNewChannelLayouts(b *testing.B) {
 		if _, err := analysis.NewChannelLayouts(values, exes, prog); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkConflictMap measures one env-sweep oracle pass: lbm (large bss)
+// at size small, O2, on core2, over core.DefaultEnvSizes(16). Each of the
+// 257 points counts the L1D, L2 and DTLB set occupancy of the stack,
+// globals and text.
+func BenchmarkConflictMap(b *testing.B) {
+	lbm, ok := bench.ByName("lbm")
+	if !ok {
+		b.Fatal("lbm not registered")
+	}
+	objs, prog, err := compiler.Compile(lbm.Sources(bench.SizeSmall), compiler.Config{Level: compiler.O2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	exe, err := linker.Link(objs, linker.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, ok := machine.ConfigByName("core2")
+	if !ok {
+		b.Fatal("core2 not registered")
+	}
+	o, err := analysis.NewOracle(exe, prog, cfg, []string{lbm.Name}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sizes := core.DefaultEnvSizes(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.ConflictMap(lbm.Name, "core2", sizes)
 	}
 }

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"biaslab/internal/ir"
@@ -142,51 +144,75 @@ func (o *Oracle) globalSpans() []Interval {
 	return out
 }
 
-// unitSpan is an inclusive range of line/page indices.
+// unitSpan is an inclusive range of line/page indices; last < first is
+// empty.
 type unitSpan struct{ first, last int64 }
 
-// countUnits counts distinct unit indices across spans. Spans come from
-// merged byte intervals, so they are ordered but may share boundary units.
-func countUnits(spans []unitSpan) int {
-	n := 0
-	prev := int64(-1 << 62)
+// distinctRuns calls visit once per run of a disjoint cover of the units in
+// spans, which must be sorted by first: every unit some span covers lies in
+// exactly one visited run, however the spans nest, overlap or touch.
+func distinctRuns(spans []unitSpan, visit func(first, last int64)) {
+	var prev int64 // last unit visited so far, once started
+	started := false
 	for _, s := range spans {
 		f := s.first
-		if f <= prev {
+		if started && f <= prev {
 			f = prev + 1
 		}
 		if s.last >= f {
-			n += int(s.last - f + 1)
-			prev = s.last
+			visit(f, s.last)
+			prev, started = s.last, true
 		}
 	}
+}
+
+// countUnits counts distinct unit indices across spans sorted by first.
+func countUnits(spans []unitSpan) int {
+	n := 0
+	distinctRuns(spans, func(first, last int64) { n += int(last - first + 1) })
 	return n
 }
 
 // occupancy computes the per-set distinct-unit count for one cache/TLB
 // structure over stack spans plus byte-interval regions. Units (lines or
 // pages) are deduplicated first: several stack intervals inside one line
-// still occupy exactly one way.
+// still occupy exactly one way. Unit u maps to set ((u%sets)+sets)%sets, so
+// a run of n units starting in set k puts n/sets units in every set and one
+// more in each of the n%sets sets from k on, wrapping. The count is exact
+// and costs O(spans·log spans + sets), however many units the spans cover.
 func occupancy(sets int, unit int64, stack []unitSpan, regions ...[]Interval) []int16 {
-	units := map[int64]struct{}{}
-	add := func(first, last int64) {
-		for u := first; u <= last; u++ {
-			units[u] = struct{}{}
-		}
-	}
-	for _, s := range stack {
-		add(s.first, s.last)
-	}
+	spans := append([]unitSpan(nil), stack...)
 	for _, ivs := range regions {
 		for _, iv := range ivs {
 			if iv.Hi > iv.Lo {
-				add(iv.Lo/unit, (iv.Hi-1)/unit)
+				spans = append(spans, unitSpan{first: iv.Lo / unit, last: (iv.Hi - 1) / unit})
 			}
 		}
 	}
+	slices.SortFunc(spans, func(a, b unitSpan) int { return cmp.Compare(a.first, b.first) })
+
+	// occ first holds the differences of the remainder counts: +1 where a
+	// run's extra units start, -1 where they stop. int16 arithmetic wraps,
+	// so the prefix sums wrap exactly as one increment per unit would.
+	s := int64(sets)
 	occ := make([]int16, sets)
-	for u := range units {
-		occ[((u%int64(sets))+int64(sets))%int64(sets)]++
+	var whole int16
+	distinctRuns(spans, func(first, last int64) {
+		n := last - first + 1
+		whole += int16(n / s)
+		k := ((first % s) + s) % s
+		end := k + n%s
+		occ[k]++
+		if end < s {
+			occ[end]--
+		} else if end > s {
+			occ[0]++
+			occ[end-s]--
+		}
+	})
+	for i := range occ {
+		whole += occ[i]
+		occ[i] = whole
 	}
 	return occ
 }

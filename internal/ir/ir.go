@@ -361,13 +361,3 @@ func (p *Program) FindFunc(name string) *Func {
 	}
 	return nil
 }
-
-// FindGlobal locates a global by name across all modules.
-func (p *Program) FindGlobal(name string) *Global {
-	for _, m := range p.Modules {
-		if g := m.GlobalByName(name); g != nil {
-			return g
-		}
-	}
-	return nil
-}

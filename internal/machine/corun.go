@@ -75,9 +75,6 @@ func (m *Machine) FlushMemos() {
 	m.lastFetchBlock = ^uint64(0)
 }
 
-// Halted reports whether the current incremental run has halted.
-func (m *Machine) Halted() bool { return m.halted }
-
 // Retired returns the instructions retired so far in the current run.
 func (m *Machine) Retired() uint64 { return m.counters.Instructions }
 

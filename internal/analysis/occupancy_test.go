@@ -110,18 +110,18 @@ func TestOccupancyMatchesUnitCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, cfg := range machine.Configs() {
 		type geom struct {
-			name       string
-			sets, ways int
-			unit       int64
+			name string
+			sets int
+			unit int64
 		}
 		dtlb := machine.TLBGeom(cfg.DTLBEntries, cfg.PageSize)
 		itlb := machine.TLBGeom(cfg.ITLBEntries, cfg.PageSize)
 		geoms := []geom{
-			{"L1I", cfg.L1I.Geometry().Sets, cfg.L1I.Geometry().Ways, int64(cfg.L1I.Geometry().LineSize)},
-			{"L1D", cfg.L1D.Geometry().Sets, cfg.L1D.Geometry().Ways, int64(cfg.L1D.Geometry().LineSize)},
-			{"L2", cfg.L2.Geometry().Sets, cfg.L2.Geometry().Ways, int64(cfg.L2.Geometry().LineSize)},
-			{"DTLB", dtlb.Sets, dtlb.Ways, int64(dtlb.PageSize)},
-			{"ITLB", itlb.Sets, itlb.Ways, int64(itlb.PageSize)},
+			{"L1I", cfg.L1I.Geometry().Sets, int64(cfg.L1I.Geometry().LineSize)},
+			{"L1D", cfg.L1D.Geometry().Sets, int64(cfg.L1D.Geometry().LineSize)},
+			{"L2", cfg.L2.Geometry().Sets, int64(cfg.L2.Geometry().LineSize)},
+			{"DTLB", dtlb.Sets, int64(dtlb.PageSize)},
+			{"ITLB", itlb.Sets, int64(itlb.PageSize)},
 		}
 		for _, g := range geoms {
 			for i := 0; i < 20; i++ {

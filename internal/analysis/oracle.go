@@ -152,16 +152,15 @@ type unitSpan struct{ first, last int64 }
 // spans, which must be sorted by first: every unit some span covers lies in
 // exactly one visited run, however the spans nest, overlap or touch.
 func distinctRuns(spans []unitSpan, visit func(first, last int64)) {
-	var prev int64 // last unit visited so far, once started
-	started := false
+	prev := int64(-1 << 62) // last unit visited; below every address's unit
 	for _, s := range spans {
 		f := s.first
-		if started && f <= prev {
+		if f <= prev {
 			f = prev + 1
 		}
 		if s.last >= f {
 			visit(f, s.last)
-			prev, started = s.last, true
+			prev = s.last
 		}
 	}
 }

@@ -94,6 +94,9 @@ func BenchmarkConflictMap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.ConflictMap(lbm.Name, "core2", sizes)
+		conflictMapSink = o.ConflictMap(lbm.Name, "core2", sizes)
 	}
 }
+
+// conflictMapSink keeps BenchmarkConflictMap's result live.
+var conflictMapSink *analysis.ConflictMap
